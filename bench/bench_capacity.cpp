@@ -1,7 +1,7 @@
 // Capacity-tier harness: bytes/state of the marking store under the
 // legacy (hash + dense-id index) and compact (id-less, arena
 // back-reference) interning layouts, on the fixtures the capacity story
-// rests on — the reconfigurable OPE model sequentially and at 4 threads,
+// rests on — the reconfigurable OPE model on 1 thread and on 4,
 // plus the deep token ring. The byte counts come from the engines' own
 // StoreStats (table + arena geometry), so they are deterministic and
 // machine-independent: bench/compare.py --capacity gates an aggregate
@@ -10,7 +10,7 @@
 // --json PATH   machine-readable summary for the compare.py gate
 // --stages N    OPE fixture size (default 3 = s3/d3 tier-1 scale;
 //               the nightly soak passes 4 = the 19M-state s4/d4 pin,
-//               sequential rows only, to keep the runtime bounded)
+//               1-thread rows only, to keep the runtime bounded)
 //
 // Exit is non-zero if the two layouts disagree on (states, edges) for
 // any fixture — the harness doubles as a differential smoke.
@@ -55,9 +55,7 @@ std::size_t store_bytes(const petri::MemoryStats& memory) {
     return memory.store.table_bytes + memory.store.arena_bytes;
 }
 
-/// One fixture under both layouts; threads == 0 means the sequential
-/// engine (the parallel explorer at 1 thread delegates there anyway, but
-/// naming it keeps the row labels honest).
+/// One fixture under both layouts at `threads` workers.
 Row measure(const std::string& name, const petri::CompiledNet& compiled,
             std::size_t threads, std::size_t max_states) {
     Row row;
@@ -68,15 +66,10 @@ Row measure(const std::string& name, const petri::CompiledNet& compiled,
         options.compact_store = compact;
         options.stop_at_first_match = false;
         petri::ReachabilityResult result;
+        options.threads = threads;
         bench::Stopwatch watch;
-        if (threads == 0) {
-            petri::ReachabilityExplorer explorer(compiled, options);
-            result = explorer.explore_all();
-        } else {
-            options.threads = threads;
-            petri::ParallelReachabilityExplorer explorer(compiled, options);
-            result = explorer.explore_all();
-        }
+        petri::ParallelReachabilityExplorer explorer(compiled, options);
+        result = explorer.explore_all();
         row.seconds[compact ? 1 : 0] = watch.elapsed_s();
         (compact ? row.compact_bytes : row.legacy_bytes) =
             store_bytes(result.memory);
@@ -133,16 +126,15 @@ int main(int argc, char** argv) {
                   stages);
 
     std::vector<Row> rows;
-    rows.push_back(
-        measure(std::string(ope_label) + "/seq", compiled, 0, cap));
+    rows.push_back(measure(std::string(ope_label) + "/seq", compiled, 1, cap));
     if (!soak_pin) {
-        // Tier-1 scale: add the narrow-marking ring and the parallel
-        // engine's layout (per-record concurrent blocks instead of the
-        // sequential arena). The soak pin skips these — two extra
-        // 19M-state explorations buy no new gate.
+        // Tier-1 scale: add the narrow-marking ring and the 4-worker
+        // layout (four per-worker record arenas instead of one). The
+        // soak pin skips these — two extra 19M-state explorations buy
+        // no new gate.
         const petri::Net ring = deep_ring_net();
         const petri::CompiledNet ring_compiled(ring);
-        rows.push_back(measure("deepring/seq", ring_compiled, 0, cap));
+        rows.push_back(measure("deepring/seq", ring_compiled, 1, cap));
         rows.push_back(
             measure(std::string(ope_label) + "/par4", compiled, 4, cap));
     }

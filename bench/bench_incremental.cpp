@@ -29,6 +29,7 @@
 #include "bench_util.hpp"
 #include "dfs/translate.hpp"
 #include "petri/compiled.hpp"
+#include "petri/parallel.hpp"
 #include "petri/predicate.hpp"
 #include "petri/reachability.hpp"
 #include "petri/reuse.hpp"
@@ -83,9 +84,10 @@ Pass run_config(int d, const petri::CompiledNet* parent,
                        : std::make_unique<petri::CompiledNet>(net);
     petri::ReachabilityOptions options;
     options.stop_at_first_match = false;
+    options.threads = 1;
     options.por = true;
     options.reuse = reuse;
-    petri::ReachabilityExplorer explorer(*compiled_out, options);
+    petri::ParallelReachabilityExplorer explorer(*compiled_out, options);
     const petri::Predicate dead = petri::Predicate::deadlock();
     petri::MultiQuery query;
     query.goals = {&dead};

@@ -11,6 +11,7 @@
 
 #include "chip/lfsr.hpp"
 #include "petri/compiled.hpp"
+#include "petri/parallel.hpp"
 #include "dfs/dynamics.hpp"
 #include "dfs/simulator.hpp"
 #include "dfs/translate.hpp"
@@ -112,8 +113,10 @@ BENCHMARK(BM_Translation)->Arg(3)->Arg(9)->Arg(18);
 void BM_ReachabilityFig1b(benchmark::State& state) {
     const dfs::Graph g = fig1b();
     const auto tr = dfs::to_petri(g);
+    petri::ReachabilityOptions one;
+    one.threads = 1;
     for (auto _ : state) {
-        petri::ReachabilityExplorer explorer(tr.net);
+        petri::ParallelReachabilityExplorer explorer(tr.net, one);
         benchmark::DoNotOptimize(explorer.count_states());
     }
 }
@@ -130,12 +133,15 @@ BENCHMARK(BM_VerifyDeadlockOpe)->Unit(benchmark::kMillisecond);
 
 void BM_ReachabilityOpeStates(benchmark::State& state) {
     // Full state-space sweep of the 3-stage reconfigurable OPE (~191k
-    // states): the regression-gated states/second figure of the engine.
+    // states): the regression-gated states/second figure of the engine
+    // on one thread.
     const auto p = ope::build_reconfigurable_ope_dfs(3, 3);
     const auto tr = dfs::to_petri(p.graph);
+    petri::ReachabilityOptions one;
+    one.threads = 1;
     std::size_t states = 0;
     for (auto _ : state) {
-        petri::ReachabilityExplorer explorer(tr.net);
+        petri::ParallelReachabilityExplorer explorer(tr.net, one);
         states = explorer.count_states();
         benchmark::DoNotOptimize(states);
     }

@@ -11,6 +11,7 @@
 #include "dfs/dynamics.hpp"
 #include "dfs/model.hpp"
 #include "dfs/translate.hpp"
+#include "petri/parallel.hpp"
 #include "petri/reachability.hpp"
 #include "util/table.hpp"
 
@@ -96,7 +97,9 @@ int main() {
     const std::size_t direct = dfs_states(dyn);
     const double t_direct = explore_watch.elapsed_s();
     bench::Stopwatch compile_watch;
-    petri::ReachabilityExplorer explorer(tr.net);
+    petri::ReachabilityOptions one;
+    one.threads = 1;
+    petri::ParallelReachabilityExplorer explorer(tr.net, one);
     const double t_compile = compile_watch.elapsed_s();
     bench::Stopwatch pn_watch;
     const std::size_t via_pn = explorer.count_states();

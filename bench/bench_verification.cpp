@@ -6,17 +6,18 @@
 // the checker finds each one with a witness trace.
 //
 // It also races the compiled reachability engine (CompiledNet + interned
-// arena marking store, single-pass multi-property verification) against
-// the seed's naive explicit-state BFS on the largest pipeline model, in
+// arena marking store, single-pass multi-property verification), on one
+// thread, against the naive explicit-state BFS of the reference oracle
+// (tests/petri_oracle.hpp) on the largest pipeline model, in
 // states/second.
 
 #include <cstdio>
-#include <deque>
-#include <unordered_map>
 
 #include "bench_util.hpp"
 #include "dfs/translate.hpp"
 #include "ope/dfs_models.hpp"
+#include "petri/parallel.hpp"
+#include "petri_oracle.hpp"
 #include "pipeline/builder.hpp"
 #include "util/table.hpp"
 #include "verify/verifier.hpp"
@@ -28,45 +29,6 @@ using namespace rap;
 const char* verdict(const verify::Finding& f) {
     if (f.truncated) return "inconclusive";
     return f.violated ? "VIOLATED" : "ok";
-}
-
-/// The seed engine, verbatim in spirit: full transition rescan per state
-/// via enabled_transitions() (a fresh vector each call), one heap-backed
-/// Marking copy per edge, std::unordered_map interning.
-struct NaiveStats {
-    std::size_t states = 0;
-    std::size_t edges = 0;
-};
-
-NaiveStats naive_explore(const petri::Net& net) {
-    // Mirrors the seed's ReachabilityExplorer::run() exploration loop:
-    // markings stored in both the visit-order vector and the hash map,
-    // a contains() probe before every emplace, and a full Marking copy
-    // per expanded state.
-    NaiveStats stats;
-    std::vector<petri::Marking> order;
-    std::unordered_map<petri::Marking, std::size_t, util::BitVecHash> seen;
-    std::deque<std::size_t> frontier;
-    const petri::Marking m0 = net.initial_marking();
-    order.push_back(m0);
-    seen.emplace(m0, 0);
-    frontier.push_back(0);
-    while (!frontier.empty()) {
-        const std::size_t index = frontier.front();
-        frontier.pop_front();
-        const petri::Marking current = order[index];
-        for (petri::TransitionId t : net.enabled_transitions(current)) {
-            petri::Marking next = current;
-            net.fire(next, t);
-            ++stats.edges;
-            if (seen.contains(next)) continue;
-            seen.emplace(next, order.size());
-            order.push_back(std::move(next));
-            frontier.push_back(order.size() - 1);
-        }
-    }
-    stats.states = order.size();
-    return stats;
 }
 
 }  // namespace
@@ -105,7 +67,7 @@ int main() {
                 clean.to_ascii().c_str());
 
     // Engine head-to-head on the largest pipeline model we explore
-    // explicitly: seed-style naive BFS vs the compiled engine.
+    // explicitly: the oracle's naive BFS vs the compiled engine.
     std::printf("reachability engine head-to-head:\n");
     util::Table race({"model", "engine", "states", "edges", "time [ms]",
                       "states/s"});
@@ -119,30 +81,35 @@ int main() {
         const auto tr = dfs::to_petri(p.graph);
 
         bench::Stopwatch naive_watch;
-        const auto naive = naive_explore(tr.net);
+        const auto naive = petri::oracle::explore(tr.net);
         const double naive_s = naive_watch.elapsed_s();
         naive_rate = static_cast<double>(naive.states) / naive_s;
-        race.add_row({p.graph.name(), "naive BFS (seed)",
+        race.add_row({p.graph.name(), "naive BFS (oracle)",
                       std::to_string(naive.states),
                       std::to_string(naive.edges),
                       util::Table::num(naive_s * 1e3, 1),
                       util::Table::num(naive_rate, 0)});
 
-        petri::ReachabilityExplorer explorer(tr.net);
+        petri::ReachabilityOptions one;
+        one.threads = 1;
+        petri::ParallelReachabilityExplorer explorer(tr.net, one);
         bench::Stopwatch compiled_watch;
         const auto result = explorer.explore_all();
         const double compiled_s = compiled_watch.elapsed_s();
         compiled_rate =
             static_cast<double>(result.states_explored) / compiled_s;
-        race.add_row({p.graph.name(), "compiled",
+        race.add_row({p.graph.name(), "compiled (1 thread)",
                       std::to_string(result.states_explored),
                       std::to_string(result.edges_explored),
                       util::Table::num(compiled_s * 1e3, 1),
                       util::Table::num(compiled_rate, 0)});
 
-        if (naive.states != result.states_explored) {
-            std::printf("ENGINE MISMATCH: %zu vs %zu states\n",
-                        naive.states, result.states_explored);
+        if (naive.states != result.states_explored ||
+            naive.edges != result.edges_explored) {
+            std::printf("ENGINE MISMATCH: %zu vs %zu states, %zu vs %zu "
+                        "edges\n",
+                        naive.states, result.states_explored, naive.edges,
+                        result.edges_explored);
             return 1;
         }
     }

@@ -216,14 +216,11 @@ def main():
     if par is not None:
         threads = par.get("hardware_threads", 1)
         speedup = par.get("best_speedup", 0.0)
-        steal = par.get("steal_vs_cursor")
-        diet = par.get("diet_resident_reduction")
         print(f"parallel scaling: {threads} hardware threads, best "
-              f"speedup {speedup:.2f}x, steal/cursor {steal}, "
-              f"diet reduction {diet}")
+              f"speedup {speedup:.2f}x over 1 thread")
         if not par.get("ok", False):
-            failures.append("bench_parallel reported a cross-engine "
-                            "mismatch")
+            failures.append("bench_parallel reported a thread-count or "
+                            "oracle mismatch")
         if threads < PARALLEL_MIN_THREADS:
             print(f"parallel scaling floor skipped: {threads} hardware "
                   f"thread(s) < {PARALLEL_MIN_THREADS} (1-core container)")

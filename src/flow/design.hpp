@@ -173,8 +173,8 @@ public:
     std::optional<petri::PorStats> por_stats() const;
 
     /// Verification passes of this session that requested cross-pass
-    /// reuse but ran scratch (dimension/witness-mode mismatch after a
-    /// topology change). Accumulated across verifier rebuilds, so the
+    /// reuse but ran scratch (dimension mismatch after a topology
+    /// change). Accumulated across verifier rebuilds, so the
     /// count survives reconfigurations — a session whose "incremental"
     /// sweeps silently went cold shows it here (and in the flow metrics
     /// as rap_reuse_fallbacks_total).
@@ -184,16 +184,17 @@ public:
 
     /// Points verification checkpointing at `path` (empty disables):
     /// subsequent explorations periodically serialize a
-    /// petri::StoreCheckpoint there (`every` = cadence in states
-    /// (sequential) or layers (parallel); 0 = engine default). Not a
-    /// model mutation — cached artifacts other than the verifier
+    /// petri::StoreCheckpoint there. `every` is the cadence in expanded
+    /// states, checked at BFS layer boundaries — the same at every
+    /// thread count (1 = every layer; 0 = the engine default, 65536).
+    /// Not a model mutation — cached artifacts other than the verifier
     /// survive, and revision() does not change.
     void set_checkpoint(std::string path, std::size_t every = 0);
 
     /// Makes the next exploration resume from a loaded checkpoint
     /// instead of the initial marking (pass nullptr to clear). The
-    /// checkpoint must match the session's net structure; the engines
-    /// refuse anything else loudly. One-shot in spirit: callers clear or
+    /// checkpoint must match the session's net structure; the engine
+    /// refuses anything else loudly. One-shot in spirit: callers clear or
     /// replace it after the resumed pass completes.
     void set_resume(std::shared_ptr<const petri::StoreCheckpoint> resume);
 

@@ -626,7 +626,7 @@ Sweep::Handle Sweep::launch() {
     if (shared_store_ && !checkpoint_dir_.empty()) {
         throw std::invalid_argument(
             "flow::Sweep: checkpoint_dir is incompatible with "
-            "shared_store — the engines refuse to checkpoint a "
+            "shared_store — the engine refuses to checkpoint a "
             "cross-pass ReuseStore, so every chained point would come "
             "back kInvalid");
     }

@@ -101,7 +101,7 @@ struct SweepResult {
 ///   parallelism owns the cores — set base.verify.threads explicitly to
 ///   override).
 /// - **Cooperative cancellation + timeouts.** Handle::cancel() stops
-///   new work and interrupts running explorations through the engines'
+///   new work and interrupts running explorations through the engine's
 ///   stop hook; per_config_timeout() bounds each configuration the same
 ///   way (status kTimedOut, findings truncated).
 ///
@@ -165,7 +165,7 @@ public:
     /// "s4_d3_v0"), so a killed sweep resumes its longest configurations
     /// instead of rerunning them (the nightly soak wires this to CI
     /// artifacts). The directory must exist. Empty (default) = off.
-    /// Incompatible with shared_store (the engines refuse reuse +
+    /// Incompatible with shared_store (the engine refuses reuse +
     /// checkpoint, so launch() rejects the combination up front with
     /// std::invalid_argument).
     Sweep& checkpoint_dir(std::string dir);

@@ -15,11 +15,13 @@ namespace {
 // "RAPCKPT1" as a little-endian word; a different framing revision bumps
 // the trailing digit so stale files fail the magic check, not a parse.
 constexpr std::uint64_t kMagic = 0x3154504B43504152ULL;
-constexpr std::uint64_t kVersion = 1;
+// Version 2 dropped the engine kind and the sequential cursor words (one
+// engine, layer-boundary resume points); version-1 files are refused.
+constexpr std::uint64_t kVersion = 2;
 
 // Fixed header words before the variable sections (magic .. records
 // offset, inclusive).
-constexpr std::size_t kHeaderWords = 21;
+constexpr std::size_t kHeaderWords = 18;
 
 [[noreturn]] void reject(const std::string& path, const char* what) {
     throw std::runtime_error("StoreCheckpoint: '" + path + "' " + what);
@@ -41,13 +43,10 @@ void StoreCheckpoint::save(const std::string& path) const {
                   records.size() + 1);
     words.push_back(kMagic);
     words.push_back(kVersion);
-    words.push_back(static_cast<std::uint64_t>(engine));
     words.push_back(structure_digest);
     words.push_back((std::uint64_t{marking_words} << 32) | meta_words);
     words.push_back(record_count);
     words.push_back(edges_explored);
-    words.push_back(head);
-    words.push_back(next_layer_begin);
     words.push_back(depth);
     words.push_back(frontier.size());
     words.push_back(goal_hits.size());
@@ -115,26 +114,23 @@ StoreCheckpoint StoreCheckpoint::load(const std::string& path) {
     }
 
     StoreCheckpoint c;
-    c.engine = static_cast<Engine>(words[2]);
-    c.structure_digest = words[3];
-    c.marking_words = static_cast<std::uint32_t>(words[4] >> 32);
-    c.meta_words = static_cast<std::uint32_t>(words[4]);
-    c.record_count = words[5];
-    c.edges_explored = words[6];
-    c.head = words[7];
-    c.next_layer_begin = words[8];
-    c.depth = words[9];
-    const std::uint64_t frontier_n = words[10];
-    const std::uint64_t goals_n = words[11];
-    const std::uint64_t deadlocks_n = words[12];
-    const std::uint64_t violations_n = words[13];
-    c.por.active = words[14] != 0;
-    c.por.expansions = words[15];
-    c.por.reduced_expansions = words[16];
-    c.por.proviso_expansions = words[17];
-    c.por.enabled_transitions = words[18];
-    c.por.expanded_transitions = words[19];
-    const std::uint64_t records_off = words[20];
+    c.structure_digest = words[2];
+    c.marking_words = static_cast<std::uint32_t>(words[3] >> 32);
+    c.meta_words = static_cast<std::uint32_t>(words[3]);
+    c.record_count = words[4];
+    c.edges_explored = words[5];
+    c.depth = words[6];
+    const std::uint64_t frontier_n = words[7];
+    const std::uint64_t goals_n = words[8];
+    const std::uint64_t deadlocks_n = words[9];
+    const std::uint64_t violations_n = words[10];
+    c.por.active = words[11] != 0;
+    c.por.expansions = words[12];
+    c.por.reduced_expansions = words[13];
+    c.por.proviso_expansions = words[14];
+    c.por.enabled_transitions = words[15];
+    c.por.expanded_transitions = words[16];
+    const std::uint64_t records_off = words[17];
 
     const std::uint64_t payload = words.size() - 1;  // minus checksum
     const std::uint64_t expected_off = kHeaderWords + frontier_n +

@@ -11,8 +11,8 @@ namespace rap::petri {
 
 /// Serialized resume point of one reachability exploration: the interned
 /// marking arena (payload + meta words, in dense id order), the BFS
-/// cursor/frontier, and every per-pass verdict accumulator — enough that
-/// an engine handed this object continues to the exact
+/// frontier, and every per-pass verdict accumulator — enough that the
+/// engine handed this object continues to the exact
 /// `(states, edges, verdicts, witnesses)` of the uninterrupted run.
 ///
 /// The on-disk format is versioned, checksummed and mmap-friendly: a
@@ -30,24 +30,15 @@ namespace rap::petri {
 /// memory, not information) and memory statistics (machine-dependent).
 class StoreCheckpoint {
 public:
-    /// Engine kind the checkpoint came from. The two engines' cursors
-    /// mean different things (state index vs layer frontier), so a
-    /// checkpoint only resumes on its own kind.
-    enum class Engine : std::uint64_t {
-        kSequential = 0,
-        kParallel = 1,
-    };
-
     /// One recorded persistence violation, by state id (materialized
     /// lazily at the end of the resumed pass, like in-pass ones).
     struct Violation {
         std::uint32_t state = 0;
-        std::uint32_t depth = 0;  ///< BFS depth (parallel canonical sort)
+        std::uint32_t depth = 0;  ///< BFS depth (canonical sort key)
         std::uint32_t fired = 0;
         std::uint32_t disabled = 0;
     };
 
-    Engine engine = Engine::kSequential;
     /// CompiledNet::structure_digest() of the explored net. Resume
     /// refuses a mismatch: after a structural edit the interned ids mean
     /// nothing (a reconfiguration that only flips initial markings also
@@ -57,19 +48,15 @@ public:
     std::uint32_t meta_words = 0;
 
     /// Interned records in dense id order, `marking_words + meta_words`
-    /// words each (payload first, then the engine's meta words — witness
-    /// links, depth). records.size() == record_count * that stride.
+    /// words each (payload first, then the meta words — witness link,
+    /// depth). records.size() == record_count * that stride.
     std::uint64_t record_count = 0;
     std::vector<std::uint64_t> records;
 
     // -- pass counters / cursor ------------------------------------------
     std::uint64_t edges_explored = 0;
-    /// Sequential cursor: next state index to expand, and the POR
-    /// freshness watermark that goes with it.
-    std::uint64_t head = 0;
-    std::uint64_t next_layer_begin = 0;
-    /// Parallel cursor: BFS depth of `frontier`, whose ids are the
-    /// stitched, deterministic discovery-order frontier of that layer.
+    /// BFS depth of `frontier`, whose ids are the stitched, deterministic
+    /// discovery-order frontier of that layer.
     std::uint64_t depth = 0;
     std::vector<std::uint32_t> frontier;
 

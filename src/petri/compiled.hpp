@@ -6,12 +6,11 @@
 #include <vector>
 
 #include "petri/net.hpp"
-#include "util/arena.hpp"
 
 namespace rap::petri {
 
-/// Marking payload hash shared by the sequential and concurrent interning
-/// stores: FNV-1a over the words plus a splitmix64 finisher (FNV alone
+/// Marking payload hash of the interning store (and the checkpoint
+/// checksum): FNV-1a over the words plus a splitmix64 finisher (FNV alone
 /// clusters under linear probing).
 inline std::uint64_t hash_marking_words(const std::uint64_t* words,
                                         std::size_t count) noexcept {
@@ -146,137 +145,16 @@ private:
 /// bytes split against the record arena, and whether the compact layout
 /// is active.
 struct StoreStats {
-    bool compact = false;       ///< id-less robin-hood layout in use
+    bool compact = false;       ///< id-indexed compact layout in use
     std::size_t records = 0;    ///< interned markings
     std::size_t slots = 0;      ///< dedup-table capacity (slots)
-    std::size_t table_bytes = 0;  ///< table + any per-id hash index
+    std::size_t table_bytes = 0;  ///< table + any id->record index
     std::size_t arena_bytes = 0;  ///< record payload blocks
     double load_factor() const noexcept {
         return slots == 0 ? 0.0
                           : static_cast<double>(records) /
                                 static_cast<double>(slots);
     }
-};
-
-/// Interned store of markings: fixed-size records in a WordArena, deduped
-/// through an open-addressing (linear probing) hash set of record ids.
-/// Ids are dense discovery-order indices, so BFS bookkeeping can run on
-/// plain arrays. No per-marking heap allocation.
-///
-/// Two table layouts share this interface (ReachabilityOptions::
-/// compact_store picks one; intern results are bit-identical either way
-/// because dedup is exact and ids are assigned in discovery order):
-///
-/// - **Legacy** (default): linear probing at a 0.7 load ceiling plus a
-///   per-id 8-byte hash index that makes rehashing table-only.
-/// - **Compact**: robin-hood probing at a 7/8 load ceiling with NO per-id
-///   index — the slot's arena back-reference doubles as identity, and a
-///   rehash recomputes hashes from the records themselves. Saves the
-///   whole id-index array and a quarter of the slot head-room (~30% of
-///   the non-record overhead), the capacity tier's point.
-///
-/// Each record optionally carries `meta_words` extra payload words after
-/// the marking (zero-initialised on intern, ignored by hashing and
-/// dedup). The reachability engines keep per-state bookkeeping that must
-/// survive any visiting order — predecessor links for witness traces —
-/// directly in the record instead of in side arrays indexed by insertion
-/// order.
-class MarkingStore {
-public:
-    static constexpr std::uint32_t kNone = UINT32_MAX;
-
-    explicit MarkingStore(std::size_t marking_words,
-                          std::size_t meta_words = 0,
-                          bool compact = false);
-
-    std::size_t size() const noexcept { return count_; }
-    const std::uint64_t* operator[](std::uint32_t id) const noexcept {
-        return arena_[id];
-    }
-
-    /// The record's meta area: `meta_words()` words owned by the caller.
-    std::uint64_t* meta(std::uint32_t id) noexcept {
-        return arena_[id] + words_;
-    }
-    const std::uint64_t* meta(std::uint32_t id) const noexcept {
-        return arena_[id] + words_;
-    }
-    std::size_t meta_words() const noexcept { return meta_words_; }
-
-    struct InternResult {
-        std::uint32_t id = kNone;  ///< kNone when the limit blocked insert
-        bool inserted = false;
-    };
-
-    /// Looks `words` up; inserts when absent and size() < capacity_limit.
-    InternResult intern(const std::uint64_t* words,
-                        std::size_t capacity_limit);
-
-    /// Drops every marking, keeping the arena blocks and table storage.
-    void clear();
-
-    /// Record payload bytes resident in the arena.
-    std::size_t record_bytes() const noexcept {
-        return arena_.resident_bytes();
-    }
-
-    /// Records + interning table + per-id hash index (empty in compact
-    /// mode — that is the layout's saving).
-    std::size_t resident_bytes() const noexcept {
-        return record_bytes() +
-               (table_.capacity() + hashes_.capacity()) *
-                   sizeof(std::uint64_t);
-    }
-
-    bool compact() const noexcept { return compact_; }
-
-    StoreStats stats() const noexcept {
-        StoreStats s;
-        s.compact = compact_;
-        s.records = count_;
-        s.slots = table_.size();
-        s.table_bytes = (table_.capacity() + hashes_.capacity()) *
-                        sizeof(std::uint64_t);
-        s.arena_bytes = record_bytes();
-        return s;
-    }
-
-private:
-    std::uint64_t hash(const std::uint64_t* words) const noexcept;
-    void grow();
-    InternResult intern_compact(const std::uint64_t* words,
-                                std::size_t capacity_limit);
-    void insert_displacing(std::uint64_t entry, std::size_t slot,
-                           std::size_t dist) noexcept;
-    void grow_compact();
-
-    // Table slots pack (hash fragment << 32 | id) so probes reject
-    // non-matches without touching the arena or the hashes array. A real
-    // entry never equals kEmptySlot: kNone is not a valid id.
-    //
-    // The two layouts keep different fragments. Legacy keeps the hash's
-    // HIGH 32 bits (the home slot comes from the low bits, so the high
-    // bits add rejection power). Compact keeps the LOW 32 bits, because
-    // robin-hood probing must recover an entry's home slot from the slot
-    // value alone (home = fragment & mask) to compute probe distances —
-    // sound while the table holds <= 2^32 slots, far past the 100M-state
-    // tier at 7/8 load.
-    static constexpr std::uint64_t kEmptySlot = UINT64_MAX;
-    static std::uint64_t pack(std::uint64_t h, std::uint32_t id) noexcept {
-        return (h & 0xFFFFFFFF00000000ULL) | id;
-    }
-    static std::uint64_t pack_compact(std::uint64_t h,
-                                      std::uint32_t id) noexcept {
-        return (h << 32) | id;
-    }
-
-    std::size_t words_;
-    std::size_t meta_words_;
-    bool compact_;
-    std::size_t count_ = 0;
-    util::WordArena arena_;
-    std::vector<std::uint64_t> hashes_;  // per id (legacy layout only)
-    std::vector<std::uint64_t> table_;
 };
 
 }  // namespace rap::petri

@@ -26,8 +26,8 @@ void copy_words(std::uint64_t* dst, const std::uint64_t* src,
 }
 
 /// Deterministic total order on fixed-width word payloads — the
-/// canonical tie-break the parallel engine uses wherever the sequential
-/// engine would have used discovery order.
+/// canonical tie-break wherever worker scheduling would otherwise leak
+/// into a result (witness choice, deadlock and violation order).
 bool words_less(const std::uint64_t* a, const std::uint64_t* b,
                 std::size_t n) noexcept {
     for (std::size_t i = 0; i < n; ++i) {
@@ -288,14 +288,16 @@ namespace {
 /// worker phase.
 ///
 /// Memory layout (the diet that reaches the 19M-state OPE models): a
-/// record is marking words plus, in canonical-CAS witness mode, two meta
-/// words — the atomic (via << 32 | parent) link and the BFS depth. The
-/// enabled bitsets live OUTSIDE the records when
-/// options.frontier_enabled_cache is on: each worker keeps two ping-pong
-/// arenas of rows, one holding the frontier being expanded, one filling
-/// with discoveries, and the barrier's serial step recycles the arena of
-/// the layer that just finished — so only ~two BFS layers of enabled
-/// words are ever resident instead of all of them.
+/// record is marking words plus, when the pass can build a trace or
+/// reduces, two meta words — the atomic (via << 32 | parent) canonical
+/// witness link and the BFS depth. The
+/// enabled bitsets live OUTSIDE the records on scratch passes: each
+/// worker keeps two ping-pong arenas of rows, one holding the frontier
+/// being expanded, one filling with discoveries, and the barrier's serial
+/// step recycles the arena of the layer that just finished — so only
+/// ~two BFS layers of enabled words are ever resident instead of all of
+/// them. Reuse passes keep the rows in the shared records instead, so
+/// they survive into the next pass.
 class ParallelPass {
 public:
     ParallelPass(const Net& net, const CompiledNet& compiled,
@@ -308,26 +310,22 @@ public:
           mwords_(compiled.marking_words()),
           twords_(compiled.enabled_words()),
           workers_(workers),
-          cas_tree_(options.witness_tree ==
-                    ReachabilityOptions::WitnessTree::kCanonicalCas),
           stop_(options.stop),
           reuse_(reuse),
-          diet_(options.frontier_enabled_cache && reuse == nullptr),
-          stealing_(options.work_stealing),
           por_(make_por(compiled, options, query)),
-          tight_(por_.has_value() && diet_ && !query.check_persistence &&
-                 !por_->proviso_needed()),
-          wmeta_words_((cas_tree_ || por_.has_value()) ? 2 : 0),
-          erec_off_(mwords_ + wmeta_words_),
+          tight_(por_.has_value() && reuse == nullptr &&
+                 !query.check_persistence && !por_->proviso_needed()),
+          maintain_tree_(!query.goals.empty() || query.check_persistence),
+          meta_words_(maintain_tree_ || por_.has_value() ? kMetaWords : 0),
+          erec_off_(mwords_ + kMetaWords),
           store_(reuse != nullptr
                      ? reuse->store()
-                     : owned_store_.emplace(
-                           mwords_, wmeta_words_ + (diet_ ? 0 : twords_),
-                           workers, options.compact_store)),
+                     : owned_store_.emplace(mwords_, meta_words_, workers,
+                                            options.compact_store)),
           checkpoint_path_(options.checkpoint_path),
-          save_every_layers_(options.checkpoint_every != 0
+          save_every_states_(options.checkpoint_every != 0
                                  ? options.checkpoint_every
-                                 : 1),
+                                 : kDefaultCheckpointEvery),
           resume_(options.resume.get()),
           resolved_(query.goals.size(), 0),
           witness_id_(query.goals.size(), ConcurrentMarkingStore::kNone),
@@ -346,23 +344,17 @@ public:
             ctx.child.assign(std::max<std::size_t>(mwords_, 1), 0);
             ctx.scratch = Marking(net.place_count());
             if (por_) ctx.ample.assign(twords_, 0);
-            if (diet_) {
-                // Small blocks: these hold ~one BFS layer per worker and
-                // are recycled every other barrier, so the default block
-                // size would pin far more than they ever use.
-                ctx.earena.reserve(2);
-                ctx.earena.emplace_back(row_words, std::size_t{1} << 12);
-                ctx.earena.emplace_back(row_words, std::size_t{1} << 12);
-            }
+            // Small blocks: these hold ~one BFS layer per worker and are
+            // recycled every other barrier, so the default block size
+            // would pin far more than they ever use.
+            ctx.earena.reserve(2);
+            ctx.earena.emplace_back(row_words, std::size_t{1} << 12);
+            ctx.earena.emplace_back(row_words, std::size_t{1} << 12);
         }
         unresolved_ = query.goals.size();
         can_early_stop_ = options.stop_at_first_match &&
                           !query.collect_deadlocks &&
                           !query.check_persistence && !query.goals.empty();
-        // The CAS witness link is only worth maintaining when the pass
-        // can be asked for a trace; a bare explore/count pays nothing.
-        maintain_tree_ =
-            cas_tree_ && (!query.goals.empty() || query.check_persistence);
     }
 
     MultiResult run();
@@ -406,8 +398,8 @@ private:
     /// workers' per-edge counter updates do not false-share.
     struct alignas(64) WorkerCtx {
         std::vector<std::uint32_t> out;  ///< next-layer discoveries
-        /// Enabled-set row of each `out` entry (worker arena in diet
-        /// mode, record interior otherwise), stitched into
+        /// Enabled-set row of each `out` entry (worker arena on scratch
+        /// passes, record interior on reuse passes), stitched into
         /// frontier_rows_ at the barrier.
         std::vector<const std::uint64_t*> out_rows;
         std::vector<std::uint32_t> best;  ///< per-goal best hit this layer
@@ -423,7 +415,6 @@ private:
         PorStats por;                      ///< this worker's share
         std::size_t edges = 0;
         std::size_t out_edges = 0;  ///< enabled-bit sum of discoveries
-        std::size_t steals = 0;     ///< chunks taken from other workers
     };
 
     const std::uint64_t* marking_of(std::uint32_t id) const {
@@ -457,7 +448,7 @@ private:
     }
 
     /// Evaluates deadlock collection and pending goals on a freshly
-    /// published state — the parallel mirror of the sequential visit().
+    /// published state.
     void visit(std::uint32_t id, const std::uint64_t* enabled,
                WorkerCtx& ctx) {
         bool dead = true;
@@ -668,7 +659,7 @@ private:
             // Tight rows carry [full | ample] with the ample set computed
             // at discovery; stats are still recorded here, at expansion,
             // so early-stopped and truncated passes report exactly what
-            // the non-tight engines do.
+            // non-tight passes do.
             const std::uint64_t* ample_row = enabled + twords_;
             enabled_count = enabled_popcount(enabled);
             ample_count = enabled_popcount(ample_row);
@@ -742,16 +733,10 @@ private:
                 return reuse_edge(head, t, enabled, w, ctx, fresh_seen);
             }
 
-            std::uint64_t meta_init[2];
-            std::size_t meta_init_words = 0;
-            if (wmeta_words_ != 0) {
-                meta_init[0] = (std::uint64_t{t.value} << 32) | head;
-                meta_init[1] = depth_ + 1;
-                meta_init_words = 2;
-            }
-            const auto interned =
-                store_.intern(ctx.child.data(), w, cap_, meta_init,
-                              meta_init_words);
+            const std::uint64_t meta_init[kMetaWords] = {
+                (std::uint64_t{t.value} << 32) | head, depth_ + 1};
+            const auto interned = store_.intern(ctx.child.data(), w, cap_,
+                                                meta_init, meta_words_);
             if (interned.id == ConcurrentMarkingStore::kNone) {
                 truncated_.store(true, std::memory_order_relaxed);
                 abort_now_.store(true, std::memory_order_release);
@@ -763,8 +748,7 @@ private:
                 }
                 // The depth word is written pre-publication and never
                 // changes, so this read is race-free. Next-layer
-                // duplicates count as progress exactly like the
-                // sequential engine's id watermark does.
+                // duplicates count as progress for the ignoring proviso.
                 if (por_ &&
                     store_[interned.id][mwords_ + 1] == depth_ + 1) {
                     fresh_seen = true;
@@ -773,15 +757,8 @@ private:
             }
             fresh_seen = true;
 
-            std::uint64_t* child_enabled;
-            if (diet_) {
-                util::WordArena& arena = ctx.earena[write_parity_];
-                child_enabled = arena[arena.push(enabled)];
-            } else {
-                child_enabled =
-                    store_.record_mut(interned.id) + erec_off_;
-                copy_words(child_enabled, enabled, twords_);
-            }
+            util::WordArena& arena = ctx.earena[write_parity_];
+            std::uint64_t* child_enabled = arena[arena.push(enabled)];
             compiled_.update_enabled(ctx.child.data(), t, child_enabled);
             if (tight_) {
                 // Discovery-time reduction: compute the child's ample
@@ -847,29 +824,11 @@ private:
         }
     }
 
-    /// PR-4 baseline scheduling: a shared atomic cursor deals fixed
-    /// chunks. Kept selectable (options.work_stealing = false) as the
-    /// bench_parallel head-to-head reference.
-    void process_layer_cursor(std::size_t w) {
-        WorkerCtx& ctx = ctx_[w];
-        for (;;) {
-            if (abort_now_.load(std::memory_order_relaxed)) return;
-            const std::size_t begin =
-                cursor_.fetch_add(chunk_, std::memory_order_relaxed);
-            if (begin >= frontier_.size()) return;
-            const std::size_t end =
-                std::min(begin + chunk_, frontier_.size());
-            run_chunk((static_cast<std::uint64_t>(begin) << 32) |
-                          static_cast<std::uint32_t>(end),
-                      w, ctx);
-        }
-    }
-
     /// Work-stealing scheduling: drain the own deque, then steal the
     /// oldest chunks of any loaded neighbour. Exiting is exact — chunks
     /// are only pushed by the serial step, so once every deque reads
     /// empty no further intra-layer work can appear.
-    void process_layer_stealing(std::size_t w) {
+    void process_layer(std::size_t w) {
         WorkerCtx& ctx = ctx_[w];
         unsigned idle = 0;
         std::uint64_t task;
@@ -883,7 +842,6 @@ private:
             bool ran = false;
             for (std::size_t k = 1; k < workers_; ++k) {
                 if (deques_[(w + k) % workers_].steal(task)) {
-                    ++ctx.steals;
                     ran = true;
                     run_chunk(task, w, ctx);
                     break;
@@ -902,14 +860,6 @@ private:
         }
     }
 
-    void process_layer(std::size_t w) {
-        if (stealing_) {
-            process_layer_stealing(w);
-        } else {
-            process_layer_cursor(w);
-        }
-    }
-
     void process_layer_guarded(std::size_t w) noexcept {
         try {
             process_layer(w);
@@ -922,26 +872,20 @@ private:
         }
     }
 
-    /// Fills the per-worker deques (or resets the shared cursor) with the
-    /// current frontier, dealt as contiguous chunks so the no-steal case
-    /// degenerates to a static partition.
+    /// Fills the per-worker deques with the current frontier, dealt as
+    /// contiguous chunks so the no-steal case degenerates to a static
+    /// partition.
     void prepare_frontier_schedule() {
-        chunk_ = std::clamp<std::size_t>(
+        const std::size_t chunk = std::clamp<std::size_t>(
             frontier_.size() / (workers_ * 8), 1, 256);
-        if (!stealing_) {
-            cursor_.store(0, std::memory_order_relaxed);
-            return;
-        }
-        const std::size_t tasks =
-            (frontier_.size() + chunk_ - 1) / chunk_;
+        const std::size_t tasks = (frontier_.size() + chunk - 1) / chunk;
         const std::size_t per_worker = (tasks + workers_ - 1) / workers_;
         for (util::StealDeque& deque : deques_) {
             deque.reset_and_reserve(per_worker);
         }
         std::size_t begin = 0;
         for (std::size_t task = 0; begin < frontier_.size(); ++task) {
-            const std::size_t end =
-                std::min(begin + chunk_, frontier_.size());
+            const std::size_t end = std::min(begin + chunk, frontier_.size());
             deques_[task / per_worker].push(
                 (static_cast<std::uint64_t>(begin) << 32) |
                 static_cast<std::uint32_t>(end));
@@ -951,8 +895,7 @@ private:
 
     /// Bytes resident right now, sampled at layer boundaries for
     /// memory_stats(): records + table + id index, the live enabled-row
-    /// arenas, and the frontier bookkeeping (retained layers included,
-    /// for the re-sweep mode that keeps them).
+    /// arenas, and the frontier bookkeeping.
     std::size_t resident_now() const {
         std::size_t bytes = store_.resident_bytes();
         for (const WorkerCtx& ctx : ctx_) {
@@ -964,9 +907,6 @@ private:
         }
         bytes += frontier_.capacity() * sizeof(std::uint32_t) +
                  frontier_rows_.capacity() * sizeof(std::uint64_t*);
-        for (const auto& layer : layers_) {
-            bytes += layer.capacity() * sizeof(std::uint32_t);
-        }
         return bytes;
     }
 
@@ -978,20 +918,17 @@ private:
     /// caller and routed through the pass's error path).
     void save_checkpoint() const {
         StoreCheckpoint ckpt;
-        ckpt.engine = StoreCheckpoint::Engine::kParallel;
         ckpt.structure_digest = compiled_.structure_digest();
         ckpt.marking_words = static_cast<std::uint32_t>(mwords_);
-        ckpt.meta_words = static_cast<std::uint32_t>(wmeta_words_);
+        ckpt.meta_words = static_cast<std::uint32_t>(meta_words_);
         const std::size_t n = store_.size();
-        const std::size_t stride = mwords_ + wmeta_words_;
+        const std::size_t stride = mwords_ + meta_words_;
         ckpt.record_count = n;
         ckpt.records.reserve(n * stride);
         for (std::uint32_t id = 0; id < n; ++id) {
             const std::uint64_t* rec = store_[id];
             ckpt.records.insert(ckpt.records.end(), rec, rec + stride);
         }
-        ckpt.head = n;
-        ckpt.next_layer_begin = n;
         ckpt.depth = depth_;
         ckpt.frontier = frontier_;
         ckpt.goal_hits = witness_id_;
@@ -1017,17 +954,12 @@ private:
     /// point must never silently restart or corrupt an exploration.
     bool seed_from_checkpoint() {
         const StoreCheckpoint& ckpt = *resume_;
-        if (ckpt.engine != StoreCheckpoint::Engine::kParallel) {
-            throw std::runtime_error(
-                "resume: checkpoint was written by the sequential engine");
-        }
         if (ckpt.structure_digest != compiled_.structure_digest()) {
             throw std::runtime_error(
                 "resume: checkpoint structural digest does not match this "
                 "net — the interned ids describe a different structure");
         }
-        if (ckpt.marking_words != mwords_ ||
-            ckpt.meta_words != wmeta_words_) {
+        if (ckpt.marking_words != mwords_ || ckpt.meta_words != meta_words_) {
             throw std::runtime_error(
                 "resume: checkpoint record geometry does not match");
         }
@@ -1052,7 +984,7 @@ private:
         for (std::uint64_t id = 0; id < ckpt.record_count; ++id) {
             const std::uint64_t* rec = ckpt.record(id);
             const auto interned = store_.intern(rec, 0, cap_, rec + mwords_,
-                                                wmeta_words_);
+                                                meta_words_);
             if (!interned.inserted || interned.id != id) {
                 throw std::runtime_error(
                     "resume: checkpoint records are not unique dense-id "
@@ -1082,7 +1014,7 @@ private:
         }
         // Frontier enabled rows are derived data: recompute them (and the
         // tight layout's ample halves) exactly where discovery would have
-        // put them — worker 0's read-parity arena, or the record interior.
+        // put them: worker 0's read-parity arena.
         std::size_t out_edges = 0;
         frontier_rows_.reserve(frontier_.size());
         for (const std::uint32_t id : frontier_) {
@@ -1091,13 +1023,8 @@ private:
                     "resume: checkpoint frontier references an id beyond "
                     "its own records");
             }
-            std::uint64_t* row;
-            if (diet_) {
-                util::WordArena& arena = ctx_[0].earena[1 - write_parity_];
-                row = arena[arena.push_zero()];
-            } else {
-                row = store_.record_mut(id) + erec_off_;
-            }
+            util::WordArena& arena = ctx_[0].earena[1 - write_parity_];
+            std::uint64_t* row = arena[arena.push_zero()];
             compiled_.enabled_set(store_[id], row);
             if (tight_) {
                 std::uint64_t* ample_row = row + twords_;
@@ -1135,21 +1062,17 @@ private:
     /// store, settles this layer's goal hits, and decides whether the
     /// pass is done.
     void layer_done() noexcept {
-        if (cas_tree_) {
-            // Witness links live in the records; the expanded layer's id
-            // list is dead weight at 19M-state scale.
-            frontier_.clear();
-        } else {
-            layers_.push_back(std::move(frontier_));
-            frontier_ = std::vector<std::uint32_t>();
-        }
+        // Witness links live in the records; the expanded layer's id list
+        // is dead weight at 19M-state scale.
+        expanded_since_save_ += frontier_.size();
+        frontier_.clear();
         frontier_rows_.clear();
         // Recycle the arena that backed the just-expanded frontier: its
         // rows are never read again, the next layer's discoveries
         // overwrite them in place.
         write_parity_ = 1 - write_parity_;
         for (WorkerCtx& ctx : ctx_) {
-            if (diet_) ctx.earena[write_parity_].clear();
+            ctx.earena[write_parity_].clear();
         }
         std::size_t out_edges = 0;
         std::size_t violations = 0;
@@ -1206,8 +1129,8 @@ private:
         }
 
         if (!checkpoint_path_.empty() &&
-            ++layers_since_save_ >= save_every_layers_) {
-            layers_since_save_ = 0;
+            expanded_since_save_ >= save_every_states_) {
+            expanded_since_save_ = 0;
             try {
                 save_checkpoint();
             } catch (...) {
@@ -1232,101 +1155,18 @@ private:
         prepare_frontier_schedule();
     }
 
-    /// Builds the canonical BFS tree in one serial sweep over the stored
-    /// edge set: each state's parent is the lexicographically-smallest
-    /// (predecessor marking, transition) pair among its previous-layer
-    /// predecessors — the kResweep witness mode (the canonical-CAS mode
-    /// maintains the identical tree in the records during exploration
-    /// and never runs this). O(edges) once, O(depth) per trace.
-    void build_canonical_tree() {
-        if (tree_built_) return;
-        tree_built_ = true;
-        const std::size_t states = store_.size();
-        depth_of_.assign(states, 0);
-        for (std::size_t d = 0; d < layers_.size(); ++d) {
-            for (const std::uint32_t id : layers_[d]) {
-                depth_of_[id] = static_cast<std::uint32_t>(d);
-            }
-        }
-        constexpr std::uint64_t kUnset = UINT64_MAX;
-        parent_of_.assign(states, kUnset);
-        std::vector<std::uint64_t> child(std::max<std::size_t>(mwords_, 1));
-        std::vector<std::uint64_t> enabled_scratch(twords_);
-        for (std::size_t d = 0; d + 1 < layers_.size(); ++d) {
-            for (const std::uint32_t pid : layers_[d]) {
-                const std::uint64_t* pm = marking_of(pid);
-                const std::uint64_t* enabled;
-                if (diet_) {
-                    // The frontier cache dropped this layer's bitsets;
-                    // recompute from the marking.
-                    compiled_.enabled_set(pm, enabled_scratch.data());
-                    enabled = enabled_scratch.data();
-                } else {
-                    enabled = store_[pid] + erec_off_;
-                }
-                for (std::size_t w = 0; w < twords_; ++w) {
-                    std::uint64_t bits = enabled[w];
-                    while (bits != 0) {
-                        const TransitionId t{static_cast<std::uint32_t>(
-                            w * kWordBits + static_cast<std::size_t>(
-                                                std::countr_zero(bits)))};
-                        bits &= bits - 1;
-                        copy_words(child.data(), pm, mwords_);
-                        compiled_.fire(child.data(), t);
-                        const std::uint32_t cid = store_.find(child.data());
-                        // Only tree edges qualify: the successor exists
-                        // (it may not, in a truncated pass) and sits one
-                        // layer deeper (cross and back edges are not
-                        // shortest paths).
-                        if (cid == ConcurrentMarkingStore::kNone ||
-                            depth_of_[cid] != d + 1) {
-                            continue;
-                        }
-                        const std::uint64_t cur = parent_of_[cid];
-                        if (cur != kUnset) {
-                            const auto cur_parent =
-                                static_cast<std::uint32_t>(cur);
-                            if (cur_parent == pid) {
-                                if (TransitionId{static_cast<std::uint32_t>(
-                                        cur >> 32)} <= t) {
-                                    continue;
-                                }
-                            } else if (!words_less(pm,
-                                                   marking_of(cur_parent),
-                                                   mwords_)) {
-                                continue;
-                            }
-                        }
-                        parent_of_[cid] =
-                            (std::uint64_t{t.value} << 32) | pid;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Canonical BFS-shortest trace for a stored state: in CAS mode a
-    /// plain walk over the records' witness links (already canonical-min
-    /// when the workers joined), otherwise off the re-swept tree.
-    Trace reconstruct(std::uint32_t id) {
+    /// Canonical BFS-shortest trace for a stored state: a plain walk over
+    /// the records' witness links (already canonical-min when the workers
+    /// joined).
+    Trace reconstruct(std::uint32_t id) const {
         Trace trace;
-        std::uint32_t cursor = id;
-        if (cas_tree_) {
-            for (;;) {
-                const std::uint64_t link = store_[cursor][mwords_];
-                const auto parent = static_cast<std::uint32_t>(link);
-                if (parent == ConcurrentMarkingStore::kNone) break;
-                trace.firings.push_back(TransitionId{
-                    static_cast<std::uint32_t>(link >> 32)});
-                cursor = parent;
-            }
-        } else {
-            build_canonical_tree();
-            while (parent_of_[cursor] != UINT64_MAX) {
-                trace.firings.push_back(TransitionId{
-                    static_cast<std::uint32_t>(parent_of_[cursor] >> 32)});
-                cursor = static_cast<std::uint32_t>(parent_of_[cursor]);
-            }
+        for (;;) {
+            const std::uint64_t link = store_[id][mwords_];
+            const auto parent = static_cast<std::uint32_t>(link);
+            if (parent == ConcurrentMarkingStore::kNone) break;
+            trace.firings.push_back(
+                TransitionId{static_cast<std::uint32_t>(link >> 32)});
+            id = parent;
         }
         std::reverse(trace.firings.begin(), trace.firings.end());
         return trace;
@@ -1345,38 +1185,45 @@ private:
     const std::size_t mwords_;
     const std::size_t twords_;
     const std::size_t workers_;
-    const bool cas_tree_;   ///< canonical-CAS witness mode (vs re-sweep)
     const std::function<bool()> stop_;  ///< cooperative stop hook
     /// Shared cross-pass store (incremental re-verification), or null
-    /// for a scratch pass. Forces diet_ off: rows must live in the
-    /// records to survive the pass.
+    /// for a scratch pass. Its records carry the enabled rows, which
+    /// must survive the pass; scratch passes keep them in the worker
+    /// arenas instead (the frontier-only cache).
     ReuseStore* const reuse_;
-    const bool diet_;       ///< frontier-only enabled-set cache
-    const bool stealing_;   ///< deque scheduling (vs atomic cursor)
     /// Stubborn-set reduction of this pass (options.por); absent when off
-    /// or fallen back to full exploration. Also forces the two per-record
-    /// meta words: the depth word is the freshness test of the ignoring
-    /// proviso, mirroring the sequential engine's id watermark.
+    /// or fallen back to full exploration. The record's depth word is the
+    /// freshness test of its ignoring proviso.
     const std::optional<PorContext> por_;
     /// Ample-width diet accounting: reduction on, never widened (no
     /// proviso, no persistence) — rows are [full | ample] pairs and
     /// out-edge provisioning counts ample bits only.
     const bool tight_;
-    const std::size_t wmeta_words_;  ///< witness meta words per record
-    const std::size_t erec_off_;     ///< in-record enabled offset (!diet_)
+    /// The CAS witness link is only worth maintaining when the pass can
+    /// be asked for a trace.
+    const bool maintain_tree_;
+    /// Witness meta words per record: the canonical link and the BFS
+    /// depth (also the ignoring proviso's freshness test). A bare
+    /// explore/count pass reads neither and stores none; a ReuseStore
+    /// always carries both.
+    static constexpr std::size_t kMetaWords = 2;
+    const std::size_t meta_words_;
+    static constexpr std::size_t kDefaultCheckpointEvery = 65536;
+    const std::size_t erec_off_;  ///< in-record enabled offset (reuse)
 
     /// The pass's private store (scratch mode); reuse passes bind store_
     /// to the ReuseStore's shared one instead.
     std::optional<ConcurrentMarkingStore> owned_store_;
     ConcurrentMarkingStore& store_;
     /// Periodic resume-point persistence (empty = off). Saved in the
-    /// barrier's serial step every `save_every_layers_` completed layers,
-    /// while every worker is parked — the records are quiescent, so the
-    /// snapshot is a consistent layer boundary by construction.
+    /// barrier's serial step at the first layer boundary after
+    /// `save_every_states_` more states were expanded, while every worker
+    /// is parked — the records are quiescent, so the snapshot is a
+    /// consistent layer boundary by construction.
     const std::string checkpoint_path_;
-    const std::size_t save_every_layers_;
+    const std::size_t save_every_states_;
     const StoreCheckpoint* const resume_;  ///< resume point, or null
-    std::size_t layers_since_save_ = 0;
+    std::size_t expanded_since_save_ = 0;
     std::uint64_t epoch_ = 0;  ///< reuse pass epoch (claims' high half)
     /// Records claimed (= states reached) this pass — reuse mode's
     /// states_explored and its truncation budget.
@@ -1387,23 +1234,15 @@ private:
     std::vector<std::uint32_t> frontier_;
     /// Enabled-set row per frontier index, stitched at the barrier.
     std::vector<const std::uint64_t*> frontier_rows_;
-    /// Expanded layers' id lists — retained by the re-sweep mode only.
-    std::vector<std::vector<std::uint32_t>> layers_;
     std::size_t depth_ = 0;  ///< BFS depth of the frontier being expanded
     int write_parity_ = 1;   ///< worker arena receiving discoveries
-    std::atomic<std::size_t> cursor_{0};
-    std::size_t chunk_ = 1;
     std::size_t peak_bytes_ = 0;
 
     std::vector<std::uint8_t> resolved_;
     std::vector<std::uint32_t> witness_id_;
     std::size_t unresolved_ = 0;
 
-    bool tree_built_ = false;
-    std::vector<std::uint32_t> depth_of_;   ///< id -> BFS depth
-    std::vector<std::uint64_t> parent_of_;  ///< id -> via << 32 | parent
     bool can_early_stop_ = false;
-    bool maintain_tree_ = false;  ///< CAS links worth updating this pass
 
     std::atomic<bool> abort_now_{false};
     std::atomic<bool> truncated_{false};
@@ -1445,17 +1284,13 @@ MultiResult ParallelPass::run() {
         }
     } else {
         store_.reserve(std::min<std::size_t>(1, cap_));
-        const std::uint64_t root_meta[2] = {
+        const std::uint64_t root_meta[kMetaWords] = {
             std::uint64_t{ConcurrentMarkingStore::kNone}, 0};
         const auto root = store_.intern(ctx_[0].child.data(), 0, cap_,
-                                        root_meta, wmeta_words_);
+                                        root_meta, meta_words_);
         root_id = root.id;
-        if (diet_) {
-            util::WordArena& arena = ctx_[0].earena[1 - write_parity_];
-            root_enabled = arena[arena.push_zero()];
-        } else {
-            root_enabled = store_.record_mut(root_id) + erec_off_;
-        }
+        util::WordArena& arena = ctx_[0].earena[1 - write_parity_];
+        root_enabled = arena[arena.push_zero()];
         compiled_.enabled_set(store_[root_id], root_enabled);
         if (tight_) {
             std::uint64_t* ample_row = root_enabled + twords_;
@@ -1520,14 +1355,10 @@ MultiResult ParallelPass::run_layers() {
 }
 
 MultiResult ParallelPass::assemble() {
-    // Adopt the never-expanded last frontier as the final layer: an
-    // early-stopped (or truncated) pass has stored states there, and the
-    // re-sweep's tree needs their depths too (the CAS tree lives in the
-    // records and needs no layer lists).
-    if (!cas_tree_ && !frontier_.empty()) {
-        layers_.push_back(std::move(frontier_));
-        frontier_.clear();
-    }
+    // The enabled-row arenas die with the last layer: count them into the
+    // peak, then drop them, so resident_bytes is what the pass leaves.
+    peak_bytes_ = std::max(peak_bytes_, resident_now());
+    for (WorkerCtx& ctx : ctx_) ctx.earena.clear();
 
     MultiResult result;
     // Reuse passes count the states *this pass* reached (its claims),
@@ -1650,37 +1481,18 @@ std::size_t ParallelReachabilityExplorer::count_states() {
 
 MultiResult ParallelReachabilityExplorer::run_query(
     const MultiQuery& query) {
-    if (threads_ <= 1) {
-        // The contract for threads == 1: bit-for-bit the sequential
-        // engine, including its discovery-order witness selection.
-        ReachabilityExplorer sequential(*compiled_, options_);
-        return sequential.run_query(query);
+    if (options_.reuse != nullptr &&
+        (!options_.checkpoint_path.empty() || options_.resume != nullptr)) {
+        // A shared ReuseStore's records outlive any single pass's resume
+        // point. Refuse loudly — a resume point that silently degraded
+        // would be worse than none.
+        throw std::runtime_error(
+            "checkpoint: incompatible with a cross-pass ReuseStore");
     }
-    if (!options_.checkpoint_path.empty() || options_.resume != nullptr) {
-        // Checkpoints snapshot the records' witness meta; the re-sweep
-        // mode keeps its tree in layer lists that are never serialized,
-        // and a shared ReuseStore's records outlive any single pass's
-        // resume point. Refuse loudly — a resume point that silently
-        // degraded would be worse than none.
-        if (options_.witness_tree !=
-            ReachabilityOptions::WitnessTree::kCanonicalCas) {
-            throw std::runtime_error(
-                "checkpoint: the parallel engine checkpoints only the "
-                "canonical-CAS witness layout");
-        }
-        if (options_.reuse != nullptr) {
-            throw std::runtime_error(
-                "checkpoint: incompatible with a cross-pass ReuseStore");
-        }
-    }
-    // Cross-pass reuse needs the canonical-CAS record layout (witness
-    // meta + resident rows); other modes — and a store whose dimensions
-    // don't match this net — fall back to a scratch pass.
+    // A store whose dimensions don't match this net falls back to a
+    // scratch pass.
     ReuseStore* reuse = nullptr;
-    if (options_.reuse &&
-        options_.witness_tree ==
-            ReachabilityOptions::WitnessTree::kCanonicalCas &&
-        options_.reuse->attach(*compiled_, threads_)) {
+    if (options_.reuse && options_.reuse->attach(*compiled_, threads_)) {
         reuse = options_.reuse.get();
     }
     ParallelPass pass(net_, *compiled_, options_, query, threads_, reuse);

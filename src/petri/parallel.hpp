@@ -16,14 +16,13 @@
 
 namespace rap::petri {
 
-/// Concurrent interned store of markings: the parallel engine's
-/// replacement for the single-threaded MarkingStore. Records (marking
-/// payload + caller-owned meta words) live in per-worker WordArena chunks
-/// — no cross-thread allocation contention, pointers stable for the whole
-/// pass — behind one shared open-addressing table whose packed
-/// (hash fragment | id) slots are claimed by CAS. Ids stay dense
-/// (discovery order of the whole pass) via a shared counter, so BFS
-/// bookkeeping still runs on plain arrays.
+/// Concurrent interned store of markings, the exploration engine's dedup
+/// table. Records (marking payload + caller-owned meta words) live in
+/// per-worker WordArena chunks — no cross-thread allocation contention,
+/// pointers stable for the whole pass — behind one shared
+/// open-addressing table whose packed (hash fragment | id) slots are
+/// claimed by CAS. Ids stay dense (discovery order of the whole pass) via
+/// a shared counter, so BFS bookkeeping runs on plain arrays.
 ///
 /// Concurrency contract: `intern` may run from any worker concurrently;
 /// everything else (`reserve`, `clear`, reads of records the caller has
@@ -151,48 +150,38 @@ private:
     std::vector<std::unique_ptr<std::uint64_t[]>> cblocks_;
 };
 
-/// Parallel-frontier breadth-first reachability over 1-safe nets: the
-/// layer-synchronous sibling of ReachabilityExplorer, sharding each BFS
-/// layer across N worker threads over one shared immutable CompiledNet.
-/// Workers intern successors through the ConcurrentMarkingStore, discover
-/// the next layer into per-worker lists, and meet at a barrier whose
-/// serial completion stitches the frontier, grows the table, and settles
-/// per-goal hits — so every answer the sequential engine gives layer by
-/// layer is reproduced exactly.
-///
-/// Result contract relative to ReachabilityExplorer, for identical
-/// queries:
+/// Layer-synchronous breadth-first reachability over 1-safe nets — the
+/// one exploration engine. Each BFS layer is sharded across N worker
+/// threads (work-stealing deques over contiguous frontier chunks) over
+/// one shared immutable CompiledNet; workers intern successors through
+/// the ConcurrentMarkingStore, discover the next layer into per-worker
+/// lists, and meet at a barrier whose serial completion stitches the
+/// frontier, grows the table, and settles per-goal hits. One worker runs
+/// the same pass inline (no thread is spawned); results are identical at
+/// every thread count, 1 included:
 ///  - states_explored / edges_explored / deadlock sets / persistence
-///    violation sets / goal verdicts are identical for exhaustive passes
-///    (no early stop, no truncation) — the reachable graph is walked
-///    exactly once either way.
-///  - witnesses are BFS-shortest: a goal's witness depth (trace length)
-///    always equals the sequential engine's. The witness *marking* is the
-///    canonical one — lexicographically smallest among the earliest
-///    layer's matches — and its trace is rebuilt deterministically, so
-///    results are identical across runs and across thread counts (the
-///    sequential engine instead keeps its discovery-order first match).
+///    violation sets / goal verdicts are those of the reachable graph
+///    (for exhaustive passes; the reduced graph under POR).
+///  - witnesses are BFS-shortest and canonical: a goal's witness marking
+///    is the lexicographically smallest among the earliest layer's
+///    matches, and its trace follows each state's lexicographically
+///    smallest (parent marking, transition) in-edge from the previous
+///    layer, maintained by CAS during exploration.
 ///  - truncation stops with `truncated = true` and states_explored ==
 ///    max_states exactly (ids are allocated densely below the cap; there
 ///    is no overshoot slack).
 ///  - with stop_at_first_match (or persistence_stop_at_first) the pass
-///    stops at the end of the layer that resolved it, so states/edges
-///    counters may exceed the sequential engine's mid-layer stop. The
-///    cooperative stop hook is honoured both at layer granularity and
-///    every 256 per-worker edges (so wide or heavily reduced layers
-///    cannot postpone a timeout).
+///    stops at the end of the layer that resolved it. The cooperative
+///    stop hook is honoured both at layer granularity and every 256
+///    per-worker edges (so wide or heavily reduced layers cannot
+///    postpone a timeout).
 ///
-/// With ReachabilityOptions::reuse set (and witness_tree ==
-/// kCanonicalCas; other modes fall back to scratch), the pass runs
-/// against the shared ReuseStore instead of a private store: markings,
-/// witness links and enabled rows resident from earlier passes are
-/// claimed per-epoch rather than re-interned, and every result above is
-/// bit-identical to the scratch pass at the same thread count
-/// (states_explored counts this pass's reached set, not the store's
-/// resident records).
-///
-/// options.threads == 1 delegates to a ReachabilityExplorer — bit-for-bit
-/// today's sequential code path; 0 means one worker per hardware thread.
+/// With ReachabilityOptions::reuse set, the pass runs against the shared
+/// ReuseStore instead of a private store: markings, witness links and
+/// enabled rows resident from earlier passes are claimed per-epoch
+/// rather than re-interned, and every result above is bit-identical to
+/// the scratch pass (states_explored counts this pass's reached set, not
+/// the store's resident records).
 ///
 /// Goal predicates and the persistence exemption callback are invoked
 /// concurrently from worker threads and must be thread-safe for const

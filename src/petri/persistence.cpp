@@ -2,13 +2,16 @@
 
 #include <utility>
 
+#include "petri/parallel.hpp"
+
 namespace rap::petri {
 
 PersistenceResult check_persistence(const Net& net,
                                     PersistenceOptions options) {
     ReachabilityOptions ropts;
     ropts.max_states = options.max_states;
-    ReachabilityExplorer explorer(net, ropts);
+    ropts.threads = 1;  // one worker: no thread pool for a convenience check
+    ParallelReachabilityExplorer explorer(net, ropts);
 
     MultiQuery query;
     query.check_persistence = true;

@@ -31,7 +31,7 @@ struct PersistenceResult {
 
 /// Exhaustive check of output persistence over the reachable state graph.
 /// Runs as a single-property instance of the shared reachability pass
-/// (ReachabilityExplorer::run_query with check_persistence set).
+/// (ParallelReachabilityExplorer::run_query with check_persistence set).
 PersistenceResult check_persistence(const Net& net,
                                     PersistenceOptions options = {});
 

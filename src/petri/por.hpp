@@ -48,7 +48,7 @@ struct PorStats {
     }
 };
 
-/// What a pass needs preserved, distilled from MultiQuery by the engines:
+/// What a pass needs preserved, distilled from MultiQuery by the engine:
 /// the goal predicates drive the visibility condition, persistence adds
 /// the conflict-pair visibility and the exempt filter.
 struct PorRequest {
@@ -59,7 +59,7 @@ struct PorRequest {
 };
 
 /// Property-aware stubborn-set (ample/persistent-set) reduction for the
-/// reachability engines, built on the same "safe enabling" semantics as
+/// reachability engine, built on the same "safe enabling" semantics as
 /// CompiledNet:
 ///
 ///   enabled(t) <=> require(t) = pre ∪ read all marked
@@ -90,23 +90,23 @@ struct PorRequest {
 /// reduced deadlock set is *exactly* the full one. Goal reachability and
 /// persistence additionally require the visibility condition (a proper
 /// ample set contains no transition that can change a watched predicate)
-/// and the BFS-queue ignoring proviso, which the engines apply through
-/// proviso_needed() and their layer bookkeeping. The choice of ample set
+/// and the BFS-queue ignoring proviso, which the engine applies through
+/// proviso_needed() and its layer bookkeeping. The choice of ample set
 /// depends only on (marking, enabled set, static tables), so the reduced
 /// state graph — and every verdict and counter derived from it — is
-/// identical across engines and thread counts.
+/// identical across thread counts.
 class PorContext {
 public:
     PorContext(const CompiledNet& compiled, const PorRequest& request);
 
     /// False when some goal predicate has unknown support places — the
     /// pass cannot tell which transitions are visible to it, so the
-    /// engines must fall back to full exploration.
+    /// engine must fall back to full exploration.
     bool active() const noexcept { return active_; }
 
     /// True when a visibility-sensitive property (a non-deadlock goal or
     /// persistence) is present: proper ample sets must then contain no
-    /// visible transition and the engines must apply the ignoring
+    /// visible transition and the engine must apply the ignoring
     /// proviso. Deadlock-only passes skip both and reduce harder.
     bool proviso_needed() const noexcept { return proviso_; }
 

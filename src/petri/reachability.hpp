@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -28,24 +27,20 @@ struct Trace {
     std::string to_string(const Net& net) const;
 };
 
+/// Options of one ParallelReachabilityExplorer pass (petri/parallel.hpp).
+/// Results do not depend on `threads`, `compact_store` or `reuse`.
 struct ReachabilityOptions {
     /// Exploration stops (with `truncated = true`) beyond this many states.
     std::size_t max_states = 2'000'000;
-    /// When set, exploration stops at the first marking satisfying the
-    /// goal predicate (for multi-goal queries: once every goal matched)
-    /// instead of exhausting the state space.
+    /// When set, exploration stops at the end of the BFS layer holding
+    /// the first marking satisfying the goal predicate (for multi-goal
+    /// queries: once every goal matched) instead of exhausting the state
+    /// space.
     bool stop_at_first_match = true;
-    /// Worker threads for ParallelReachabilityExplorer: 0 = one per
-    /// hardware thread, 1 = the sequential engine's exact code path.
-    /// ReachabilityExplorer itself is single-threaded and ignores this.
+    /// Worker threads: 0 = one per hardware thread. Results (states,
+    /// edges, verdicts, witnesses) are identical at every count; one
+    /// worker runs the same layer-synchronous pass inline.
     std::size_t threads = 0;
-    /// Frontier-only enabled-set cache (the memory diet that reaches the
-    /// 19M-state OPE models): a state's enabled bitset is kept only while
-    /// its BFS layer can still be expanded and is dropped once the layer
-    /// is done, removing enabled_words() words from every resident record.
-    /// Results are bit-identical either way — the bitsets of fully
-    /// expanded layers are never read again.
-    bool frontier_enabled_cache = true;
     /// Partial-order (stubborn-set) reduction: expand a property-aware
     /// stubborn subset of each state's enabled set instead of all of it
     /// (see petri::PorContext). Verdicts are preserved — deadlock sets
@@ -55,39 +50,13 @@ struct ReachabilityOptions {
     /// concurrent nets. Under reduction, witnesses remain genuine firing
     /// sequences but need not be globally shortest, a goal's witness
     /// marking may differ from the full pass's, states_explored/
-    /// edges_explored count the *reduced* graph (still deterministic
-    /// across engines and thread counts), and collected persistence
-    /// violations are a subset of the full pass's (non-emptiness — the
-    /// verdict — is preserved). Passes carrying a goal with unknown
-    /// support places fall back to full exploration (PorStats::active
-    /// reports false).
+    /// edges_explored count the *reduced* graph (still identical across
+    /// thread counts), and collected persistence violations are a subset
+    /// of the full pass's (non-emptiness — the verdict — is preserved).
+    /// Passes carrying a goal with unknown support places fall back to
+    /// full exploration (PorStats::active reports false).
     bool por = false;
-    /// How ParallelReachabilityExplorer builds the canonical witness tree
-    /// (ReachabilityExplorer is single-threaded and ignores this).
-    enum class WitnessTree {
-        /// Maintain a per-record canonical-min (depth, parent, via) meta
-        /// word with a CAS on same-layer duplicate edges during
-        /// exploration: traces are free at reconstruction time. The
-        /// default — measured ~15-20% slower on clean passes that carry
-        /// a goal (the maintenance only runs when a trace could be
-        /// requested), while violated passes skip the re-sweep's extra
-        /// serial O(edges) walk entirely (see bench_parallel).
-        kCanonicalCas,
-        /// PR-4 behaviour: one serial re-fire-and-probe sweep over the
-        /// stored states when the first trace is requested. Clean passes
-        /// pay nothing; every violated pass pays roughly one extra
-        /// sequential exploration.
-        kResweep,
-    };
-    WitnessTree witness_tree = WitnessTree::kCanonicalCas;
-    /// Intra-layer scheduling of ParallelReachabilityExplorer workers:
-    /// per-worker Chase-Lev deques with stealing (default), or the PR-4
-    /// shared atomic-cursor chunking (kept as the bench baseline).
-    bool work_stealing = true;
-    /// Cooperative stop hook: polled by the sequential engine every 2048
-    /// interned states AND every 256 expanded edges (states alone let a
-    /// heavily POR-reduced or wide-state pass run far past a deadline),
-    /// and by the parallel engine once per layer (in the barrier's
+    /// Cooperative stop hook: polled once per BFS layer (in the barrier's
     /// serial step) plus every 256 edges per worker. Returning true ends
     /// the exploration early with `truncated = true` — the mechanism
     /// behind flow::Sweep cancellation and per-configuration timeouts.
@@ -100,41 +69,38 @@ struct ReachabilityOptions {
     /// set, the exploration attaches to this shared ReuseStore and
     /// claims resident markings per-pass instead of re-interning them —
     /// see petri/reuse.hpp for the contract. Results are bit-identical
-    /// to a scratch pass at the same thread count. Falls back to scratch
-    /// when the store's record dimensions don't match the net, or
-    /// (parallel engine) when witness_tree != kCanonicalCas — counted in
+    /// to a scratch pass. Falls back to scratch when the store's record
+    /// dimensions don't match the net — counted in
     /// ReuseStore::fallbacks() and MultiResult::reuse_fallback so a
     /// topology change degrading every "incremental" pass to cold is
     /// visible. Passes sharing one ReuseStore must be externally
     /// sequenced.
     std::shared_ptr<ReuseStore> reuse;
-    /// Compact interning layout (the 100M-state capacity tier): an
-    /// id-less robin-hood table whose slots carry arena back-references,
-    /// dropping the legacy per-id hash/pointer index and a quarter of the
-    /// slot head-room (~30% of the non-record overhead; see
-    /// MarkingStore/StoreStats). Exploration results are bit-identical to
-    /// the default layout at every thread count. Ignored by reused passes
-    /// — the attached ReuseStore owns its own (legacy) table.
+    /// Compact interning layout (the 100M-state capacity tier): records
+    /// at arena positions derived from their dense id, dropping the
+    /// legacy id->record pointer index and a quarter of the slot
+    /// head-room (see ConcurrentMarkingStore/StoreStats). Exploration
+    /// results are bit-identical to the default layout. Ignored by reused
+    /// passes — the attached ReuseStore owns its own (legacy) table.
     bool compact_store = false;
     /// When non-empty, the exploration periodically serializes a
     /// petri::StoreCheckpoint here (atomically: tmp file + rename) so a
-    /// killed pass can resume instead of rerunning from t=0. The
-    /// sequential engine checkpoints every `checkpoint_every` expanded
-    /// states, the parallel engine every `checkpoint_every` completed BFS
-    /// layers (in the barrier's serial step; it requires the default
-    /// kCanonicalCas witness tree and no attached ReuseStore). A failed
-    /// write aborts the pass with ExplorationAborted rather than run a
-    /// soak whose "checkpoints" silently don't exist.
+    /// killed pass can resume instead of rerunning from t=0. Written in
+    /// the barrier's serial step; incompatible with an attached
+    /// ReuseStore. A failed write aborts the pass with ExplorationAborted
+    /// rather than run a soak whose "checkpoints" silently don't exist.
     std::string checkpoint_path;
-    /// Checkpoint cadence (states for the sequential engine, layers for
-    /// the parallel one); 0 picks a default (65536 states / 1 layer).
+    /// Checkpoint cadence in expanded states, checked at BFS layer
+    /// boundaries: a checkpoint is written at the first boundary after at
+    /// least this many more states were expanded (1 = every layer). The
+    /// same at every thread count; 0 picks the default, 65536.
     std::size_t checkpoint_every = 0;
     /// Resume point: continue a previously checkpointed exploration
     /// instead of starting from the initial marking. The checkpoint must
-    /// come from the same engine kind, net structure (structural digest)
-    /// and record geometry — anything else throws std::runtime_error.
-    /// The continued pass reproduces the uninterrupted run's
-    /// (states, edges, verdicts, witnesses) exactly.
+    /// come from the same net structure (structural digest) and record
+    /// geometry — anything else throws std::runtime_error. The continued
+    /// pass reproduces the uninterrupted run's (states, edges, verdicts,
+    /// witnesses) exactly.
     std::shared_ptr<const StoreCheckpoint> resume;
 };
 
@@ -144,10 +110,13 @@ struct ReachabilityOptions {
 struct MemoryStats {
     std::size_t records = 0;        ///< interned markings
     std::size_t record_bytes = 0;   ///< arena-resident record payloads
-    /// Records + interning table + id index + live enabled-set cache +
-    /// frontier bookkeeping, at the end of the pass.
+    /// Records + interning table + id index + frontier bookkeeping, at
+    /// the end of the pass (the enabled-row cache dies with the last
+    /// layer, so only peak_bytes counts it).
     std::size_t resident_bytes = 0;
-    std::size_t peak_bytes = 0;  ///< max resident over the pass
+    /// Max resident over the pass, sampled at every layer boundary with
+    /// the live enabled-row cache included.
+    std::size_t peak_bytes = 0;
     /// Interning-table geometry (layout, slots, load factor, table vs
     /// arena byte split) — the rap_store_* metrics source.
     StoreStats store;
@@ -173,8 +142,9 @@ struct ReachabilityResult {
     MemoryStats memory;
     PorStats por;  ///< reduction statistics (inactive when por was off)
 
-    /// Set when a goal predicate was supplied and matched. Always the
-    /// *first* match in BFS order, i.e. a shortest witness, regardless of
+    /// Set when a goal predicate was supplied and matched. Always a match
+    /// from the earliest BFS layer holding one (the canonical, smallest
+    /// such marking), i.e. a shortest witness, regardless of
     /// stop_at_first_match.
     std::optional<Marking> witness;
     std::optional<Trace> witness_trace;
@@ -236,85 +206,12 @@ struct MultiResult {
     std::vector<PersistenceViolation> persistence_violations;
 
     /// True when ReachabilityOptions::reuse was set but this pass ran
-    /// scratch anyway (record-dimension mismatch after a topology change,
-    /// or — parallel engine — a non-kCanonicalCas witness tree). The
+    /// scratch anyway (record-dimension mismatch after a topology
+    /// change). The
     /// verdicts are still exact; the incremental speed-up silently is
     /// not, which is why verify::Verifier and flow::Sweep count these
     /// into rap_reuse_fallbacks_total.
     bool reuse_fallback = false;
-};
-
-/// Explicit-state breadth-first reachability over 1-safe nets, running on
-/// a CompiledNet: word-masked enable tests, incremental enabled-set
-/// maintenance through the affected-transition index, and an
-/// arena-backed interned marking store (no per-state heap allocation on
-/// the hot path).
-///
-/// BFS (rather than DFS) keeps witness traces shortest, which matters for
-/// debuggability of DFS model bugs — the paper reports hand-analysing such
-/// traces during the OPE design.
-class ReachabilityExplorer {
-public:
-    explicit ReachabilityExplorer(const Net& net,
-                                  ReachabilityOptions options = {});
-
-    /// Runs on an externally owned CompiledNet instead of compiling the
-    /// net again — the sharing hook behind verify::CompiledModel and
-    /// flow::Design: N explorations (or N verifiers) amortise ONE compile.
-    /// The artifact must outlive the explorer.
-    explicit ReachabilityExplorer(const CompiledNet& compiled,
-                                  ReachabilityOptions options = {});
-
-    /// Searches for a marking satisfying `goal`.
-    ReachabilityResult find(const Predicate& goal);
-
-    /// Single-pass multi-goal search: one exploration answers every goal.
-    /// Returns one result per goal (same order), each carrying the shared
-    /// pass's state/edge counts.
-    std::vector<ReachabilityResult> find_all(
-        std::span<const Predicate* const> goals);
-
-    /// Full control: goals + deadlock collection + persistence checking,
-    /// all in one exploration.
-    MultiResult run_query(const MultiQuery& query);
-
-    /// Exhaustively explores and collects every deadlocked marking
-    /// (respecting max_states).
-    ReachabilityResult find_deadlocks();
-
-    /// Exhaustively explores; returns state/edge counts only.
-    ReachabilityResult explore_all();
-
-    /// Number of distinct reachable markings (convenience over explore_all).
-    std::size_t count_states();
-
-    const CompiledNet& compiled() const noexcept { return *compiled_; }
-
-private:
-    static constexpr std::uint32_t kNoParent = UINT32_MAX;
-
-    /// run_query on an attached ReuseStore: claims resident records in
-    /// discovery order instead of interning into the private store_, so
-    /// every answer (including discovery-ordered deadlock lists and
-    /// first-hit witnesses) is bit-identical to the scratch pass.
-    MultiResult run_query_reused(const MultiQuery& query, ReuseStore& reuse);
-
-    /// The scratch-path pass body (private store_), factored out so
-    /// run_query can convert a mid-pass failure into ExplorationAborted
-    /// with the footprint at the moment of death attached.
-    MultiResult run_query_scratch(const MultiQuery& query);
-
-    Trace rebuild_trace(std::uint32_t index) const;
-    Marking materialize(std::uint32_t id) const;
-
-    const Net& net_;
-    ReachabilityOptions options_;
-    std::optional<CompiledNet> owned_;  ///< set by the Net constructor only
-    const CompiledNet* compiled_;       ///< owned_ or the shared artifact
-    /// Each record carries one meta word packing the predecessor link
-    /// (parent id | via transition << 32), so witness-trace rebuilding
-    /// reads the record itself and is independent of visiting order.
-    MarkingStore store_;
 };
 
 }  // namespace rap::petri

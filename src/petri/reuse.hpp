@@ -23,7 +23,7 @@ namespace rap::petri {
 ///
 /// Record layout is fixed at mwords + 2 + twords words: the marking
 /// payload, two witness meta words (canonical-min link + scratch depth
-/// word, matching the parallel engine's canonical-CAS layout), and the
+/// word, matching the engine's scratch-pass layout), and the
 /// full enabled-set row. Rows are cached per *structure*: markings are
 /// content-addressed bit patterns and stay valid across any
 /// same-dimension net, but a row is a function of (marking, arcs) — when
@@ -88,9 +88,8 @@ public:
     /// wall-clock drift.
     std::size_t fallbacks() const noexcept { return fallbacks_; }
 
-    /// The record's per-pass claim word: epoch << 32 | depth (parallel
-    /// passes) or epoch << 32 | discovery-order index (sequential
-    /// passes). Callers must have ensured capacity past `id`.
+    /// The record's per-pass claim word: epoch << 32 | BFS depth.
+    /// Callers must have ensured capacity past `id`.
     std::atomic<std::uint64_t>& claim(std::uint32_t id) noexcept {
         return claims_[id];
     }
@@ -105,7 +104,7 @@ public:
     }
 
     /// Grows the claim/row-revision arrays to cover ids below `n`.
-    /// Serial (engines call it where they provision the store).
+    /// Serial (the engine calls it where it provisions the store).
     void ensure_capacity(std::size_t n);
 
     std::size_t marking_words() const noexcept { return mwords_; }

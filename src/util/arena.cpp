@@ -31,24 +31,4 @@ std::size_t WordArena::push(const std::uint64_t* src) {
     return size_++;
 }
 
-void WordArena::skip_to(std::size_t index) {
-    // A null-block prefix marked released: operator[] must never be asked
-    // for a skipped record, exactly as after release_before(index).
-    const std::size_t full_blocks = index / records_per_block_;
-    blocks_.clear();
-    blocks_.resize(full_blocks);
-    released_blocks_ = full_blocks;
-    size_ = full_blocks * records_per_block_;
-    while (size_ < index) push_zero();
-}
-
-void WordArena::release_before(std::size_t index) noexcept {
-    const std::size_t full_blocks =
-        std::min(index / records_per_block_, blocks_.size());
-    for (std::size_t b = released_blocks_; b < full_blocks; ++b) {
-        blocks_[b].reset();
-    }
-    released_blocks_ = std::max(released_blocks_, full_blocks);
-}
-
 }  // namespace rap::util

@@ -33,38 +33,12 @@ public:
     /// Appends a copy of `src[0 .. record_words)`; returns its index.
     std::size_t push(const std::uint64_t* src);
 
-    std::size_t records_per_block() const noexcept {
-        return records_per_block_;
-    }
-
-    /// Heap bytes currently held by live blocks (released blocks do not
-    /// count). The arena's contribution to an engine's memory_stats().
+    /// Heap bytes currently held by blocks. The arena's contribution to
+    /// an engine's memory_stats().
     std::size_t resident_bytes() const noexcept {
-        return (blocks_.size() - released_blocks_) * records_per_block_ *
-               record_words_ * sizeof(std::uint64_t);
+        return blocks_.size() * records_per_block_ * record_words_ *
+               sizeof(std::uint64_t);
     }
-
-    /// Blocks ever allocated (released ones still count). Monotonic over
-    /// an arena's life, so it serves as a cheap geometry signature: the
-    /// resident footprint can only change when this (or a sibling
-    /// container's capacity) does — the peak-memory sampling hook.
-    std::size_t allocated_blocks() const noexcept { return blocks_.size(); }
-
-    /// Fast-forwards an EMPTY arena so the next push lands at `index`,
-    /// without materialising the skipped records: whole skipped blocks
-    /// are left unallocated (recorded as already released), and only the
-    /// partial block containing `index` is backed by real zeroed memory.
-    /// The checkpoint-resume hook for frontier-only caches, where every
-    /// record below the resume cursor was released before the checkpoint
-    /// was taken and will never be read again. Precondition: size() == 0.
-    void skip_to(std::size_t index);
-
-    /// Frees every block whose records all have index < `index` — the
-    /// frontier-only cache hook: once a BFS layer is fully expanded, its
-    /// records are never read again and their blocks can go back to the
-    /// allocator. Released records must not be accessed again; indices
-    /// >= `index` (and future push results) stay valid.
-    void release_before(std::size_t index) noexcept;
 
     std::uint64_t* operator[](std::size_t index) noexcept {
         return blocks_[index / records_per_block_].get() +
@@ -75,16 +49,8 @@ public:
                (index % records_per_block_) * record_words_;
     }
 
-    /// Drops every record. Keeps the blocks for reuse — unless some were
-    /// released, in which case the block list is discarded wholesale so
-    /// the arena never hands out an index backed by a freed block.
-    void clear() noexcept {
-        size_ = 0;
-        if (released_blocks_ != 0) {
-            blocks_.clear();
-            released_blocks_ = 0;
-        }
-    }
+    /// Drops every record, keeping the blocks for reuse.
+    void clear() noexcept { size_ = 0; }
 
 private:
     std::uint64_t* grow_to(std::size_t index);
@@ -92,7 +58,6 @@ private:
     std::size_t record_words_;
     std::size_t records_per_block_;
     std::size_t size_ = 0;
-    std::size_t released_blocks_ = 0;
     std::vector<std::unique_ptr<std::uint64_t[]>> blocks_;
 };
 

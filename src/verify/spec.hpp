@@ -8,8 +8,8 @@
 namespace rap::verify {
 
 /// Fluent property specification: which properties one verification pass
-/// must answer. Replaces the raw-pointer CustomCheck span — the Spec
-/// *owns* its predicates, so callers can build them inline:
+/// must answer. The Spec *owns* its predicates, so callers can build
+/// them inline:
 ///
 ///     auto report = design.verify(verify::Spec{}
 ///                                     .deadlock()

@@ -51,7 +51,6 @@ petri::MultiResult Verifier::run_exploration(const petri::MultiQuery& query,
     ropts.max_states = options_.max_states;
     ropts.stop_at_first_match = stop_at_first_match;
     ropts.threads = options_.threads;
-    ropts.frontier_enabled_cache = options_.frontier_enabled_cache;
     ropts.por = options_.por;
     ropts.stop = options_.stop;
     ropts.reuse = options_.reuse;
@@ -59,9 +58,8 @@ petri::MultiResult Verifier::run_exploration(const petri::MultiQuery& query,
     ropts.checkpoint_path = options_.checkpoint_path;
     ropts.checkpoint_every = options_.checkpoint_every;
     ropts.resume = options_.resume;
-    // The parallel explorer shards the BFS frontier over the shared
-    // compiled artifact; at one (resolved) thread it delegates to the
-    // sequential engine's exact code path.
+    // The explorer shards each BFS layer over the shared compiled
+    // artifact; its answers do not depend on the thread count.
     petri::ParallelReachabilityExplorer explorer(model_->compiled(), ropts);
     ++explorations_;
     try {

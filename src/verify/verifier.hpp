@@ -56,26 +56,15 @@ struct Finding {
 
 struct VerifyOptions {
     std::size_t max_states = 2'000'000;
-    /// Worker threads for the state-space exploration: 0 = one per
-    /// hardware thread (petri::ParallelReachabilityExplorer), 1 = the
-    /// sequential engine's exact code path. Whatever the setting, one
-    /// verification pass still answers every property in one exploration
-    /// and reports the same verdicts. Parallel passes pick canonical
-    /// (smallest) witnesses, so their reports are deterministic across
-    /// runs and across thread counts >= 2; the sequential path instead
-    /// keeps its discovery-order witness, and a single-question verify
-    /// may stop mid-layer there, so states_explored and witness details
-    /// can differ between threads == 1 and parallel configurations.
+    /// Worker threads for the state-space exploration
+    /// (petri::ParallelReachabilityExplorer): 0 = one per hardware
+    /// thread. One verification pass answers every property in one
+    /// exploration, and reports — verdicts, canonical witness traces,
+    /// states_explored — are identical at every thread count, 1
+    /// included.
     std::size_t threads = 0;
-    /// Frontier-only enabled-set cache (petri::ReachabilityOptions::
-    /// frontier_enabled_cache): drops the enabled bitsets of fully
-    /// expanded BFS layers, shrinking resident bytes per state by
-    /// roughly the enabled-word share of the record — the knob that lets
-    /// one pass hold the ~19M-state 4-stage OPE models. Verdicts and
-    /// witnesses are bit-identical either way.
-    bool frontier_enabled_cache = true;
     /// Partial-order (stubborn-set) reduction forwarded to the
-    /// exploration engines (petri::ReachabilityOptions::por). Verdicts
+    /// exploration engine (petri::ReachabilityOptions::por). Verdicts
     /// are preserved for every property the verifier checks — the
     /// standard goals carry support places, so the unknown-support
     /// fallback never triggers for Spec::standard() — but
@@ -83,7 +72,7 @@ struct VerifyOptions {
     /// need not be globally shortest. por_stats() reports the measured
     /// reduction after a pass.
     bool por = false;
-    /// Cooperative stop hook forwarded to the exploration engines
+    /// Cooperative stop hook forwarded to the exploration engine
     /// (petri::ReachabilityOptions::stop): polled cheaply mid-pass; when
     /// it returns true the exploration ends early and every finding of
     /// the pass reports `truncated = true` (inconclusive). flow::Sweep
@@ -91,14 +80,14 @@ struct VerifyOptions {
     /// Must not throw. Null (the default) never stops.
     std::function<bool()> stop;
     /// Cross-pass marking-store retention forwarded to the exploration
-    /// engines (petri::ReachabilityOptions::reuse) — the incremental
+    /// engine (petri::ReachabilityOptions::reuse) — the incremental
     /// re-verification hook. Passes sharing one store re-claim resident
     /// markings (and their cached enabled rows) instead of re-interning
     /// them, which pays off when consecutive verifications differ only
     /// in the net's initial marking (flow::Design reconfigurations).
-    /// Verdicts, witnesses and counters are bit-identical to scratch at
-    /// the same thread count; dimension or witness-mode mismatches fall
-    /// back to scratch silently. The same store must not be used by two
+    /// Verdicts, witnesses and counters are bit-identical to scratch;
+    /// dimension mismatches fall back to scratch (counted in
+    /// reuse_fallbacks()). The same store must not be used by two
     /// explorations concurrently.
     std::shared_ptr<petri::ReuseStore> reuse;
     /// Compact interning layout (petri::ReachabilityOptions::
@@ -109,30 +98,15 @@ struct VerifyOptions {
     /// Periodic checkpointing (petri::ReachabilityOptions::
     /// checkpoint_path): when non-empty, every exploration this verifier
     /// runs serializes resume points there. See the engine option for
-    /// cadence and the kCanonicalCas / no-reuse restrictions.
+    /// the cadence and the no-reuse restriction.
     std::string checkpoint_path;
-    /// Cadence forwarded to petri::ReachabilityOptions::checkpoint_every
-    /// (0 = engine default).
+    /// Cadence in expanded states, forwarded to
+    /// petri::ReachabilityOptions::checkpoint_every (0 = engine default).
     std::size_t checkpoint_every = 0;
     /// Resume point forwarded to petri::ReachabilityOptions::resume: the
     /// next exploration continues the checkpointed pass instead of
     /// starting at the initial marking.
     std::shared_ptr<const petri::StoreCheckpoint> resume;
-};
-
-/// A user-supplied Reach-style predicate for the standard checks'
-/// exploration.
-///
-/// Retired surface: verify::Spec is the only documented way to attach
-/// custom properties — it *owns* its predicates (no raw-pointer
-/// lifetime contract) and composes fluently. The struct remains only so
-/// stale call sites fail loudly with a deprecation warning instead of
-/// silently: no Verifier entry point accepts it anymore.
-struct [[deprecated(
-    "use verify::Spec::custom(description, predicate) — Spec owns its "
-    "predicates and runs in the same single exploration")]] CustomCheck {
-    const petri::Predicate* predicate = nullptr;
-    std::string description;
 };
 
 /// Aggregate report of a full verification pass. Findings are always in
@@ -236,7 +210,7 @@ public:
     const petri::PorStats& por_stats() const noexcept { return last_por_; }
 
     /// Explorations that requested cross-pass reuse but ran scratch (a
-    /// record-dimension or witness-mode mismatch). A nonzero count means
+    /// record-dimension mismatch). A nonzero count means
     /// the "incremental" speed-up silently stopped being incremental —
     /// flow::Design aggregates this into rap_reuse_fallbacks_total.
     std::size_t reuse_fallbacks() const noexcept {

@@ -1,20 +1,24 @@
 // Checkpoint/resume contract tests: a killed exploration resumed from
 // its last on-disk StoreCheckpoint must reproduce the uninterrupted
-// pass's (states, edges, verdicts, witnesses) exactly — on both engine
-// kinds — while corrupted files, foreign structures, reconfigured
-// initial markings and engine-kind mismatches are all refused loudly
-// instead of resuming as a silently wrong exploration.
+// pass's (states, edges, verdicts, witnesses) exactly — at any thread
+// count on either side — while corrupted files, old format versions,
+// foreign structures and reconfigured initial markings are all refused
+// loudly instead of resuming as a silently wrong exploration.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "flow/design.hpp"
+#include "ope/dfs_models.hpp"
 #include "petri/checkpoint.hpp"
+#include "petri/compiled.hpp"
 #include "petri/parallel.hpp"
 #include "petri/reachability.hpp"
 #include "petri/reuse.hpp"
@@ -24,37 +28,6 @@ namespace rap::petri {
 namespace {
 
 using namespace testfx;
-
-/// Exact-match comparison (tighter than the cross-engine differential):
-/// a resumed pass continues the same engine's deterministic walk, so
-/// even witness markings and traces must be identical.
-void expect_identical(const Net& net, const MultiResult& full,
-                      const MultiResult& resumed,
-                      const std::string& context) {
-    EXPECT_EQ(resumed.states_explored, full.states_explored) << context;
-    EXPECT_EQ(resumed.edges_explored, full.edges_explored) << context;
-    EXPECT_FALSE(resumed.truncated) << context;
-    EXPECT_EQ(sorted(resumed.deadlocks), sorted(full.deadlocks))
-        << context;
-    EXPECT_EQ(violation_set(resumed.persistence_violations),
-              violation_set(full.persistence_violations))
-        << context;
-    ASSERT_EQ(resumed.goals.size(), full.goals.size()) << context;
-    for (std::size_t g = 0; g < full.goals.size(); ++g) {
-        const auto& fg = full.goals[g];
-        const auto& rg = resumed.goals[g];
-        ASSERT_EQ(rg.found(), fg.found()) << context << " goal " << g;
-        if (!fg.found()) continue;
-        EXPECT_EQ(*rg.witness, *fg.witness) << context << " goal " << g;
-        ASSERT_TRUE(rg.witness_trace.has_value()) << context;
-        ASSERT_TRUE(fg.witness_trace.has_value()) << context;
-        EXPECT_EQ(rg.witness_trace->firings.size(),
-                  fg.witness_trace->firings.size())
-            << context << " goal " << g;
-        expect_replays(net, *rg.witness_trace, *rg.witness,
-                       context + " goal " + std::to_string(g));
-    }
-}
 
 std::string temp_path(const std::string& name) {
     return testing::TempDir() + name;
@@ -72,33 +45,31 @@ MultiResult killed_run(const CompiledNet& compiled, const MultiQuery& query,
     options.checkpoint_every = every;
     auto count = std::make_shared<std::atomic<int>>(0);
     options.stop = [count, polls] { return ++*count > polls; };
-    if (threads <= 1) {
-        ReachabilityExplorer explorer(compiled, options);
-        return explorer.run_query(query);
-    }
     options.threads = threads;
     ParallelReachabilityExplorer explorer(compiled, options);
     return explorer.run_query(query);
 }
 
 TEST(Checkpoint, SequentialKillAndResumeMatchesUninterrupted) {
+    // Killed on one worker, resumed on one and on four: a checkpoint is
+    // a layer boundary, which means the same thing at every thread count.
     const Fixture fixture = gap_fixture();  // deadlocks -> witness paths
     const CompiledNet compiled(fixture.net);
     const QueryBundle bundle(fixture.net);
 
     ReachabilityOptions base;
     base.stop_at_first_match = false;
-    ReachabilityExplorer uninterrupted(compiled, base);
+    base.threads = 1;
+    ParallelReachabilityExplorer uninterrupted(compiled, base);
     const auto reference = uninterrupted.run_query(bundle.query);
     ASSERT_FALSE(reference.truncated);
 
-    // The gap model is 1904 states / 7808 edges; the sequential engine
-    // polls the stop hook every 256 edges, so 12 polls kill the pass
-    // about 40% in — after the head crossed the 256-state save cadence.
+    // The gap model is 1904 states / 7808 edges; one worker polls the
+    // stop hook once per layer and every 256 edges, so 20 polls kill the
+    // pass about 40% in — after the 256-state save cadence has fired.
     const std::string path = temp_path("ckpt_seq_kill.ckpt");
     std::remove(path.c_str());
-    const auto partial =
-        killed_run(compiled, bundle.query, path, 1, 12, 256);
+    const auto partial = killed_run(compiled, bundle.query, path, 1, 20, 256);
     ASSERT_TRUE(partial.truncated) << "kill did not interrupt the pass";
     ASSERT_LT(partial.states_explored, reference.states_explored)
         << "kill landed after exhaustion; nothing left to resume";
@@ -111,15 +82,19 @@ TEST(Checkpoint, SequentialKillAndResumeMatchesUninterrupted) {
     // Resume under both table layouts: dense discovery-order ids make
     // the checkpoint layout-independent, so a legacy-layout checkpoint
     // must continue identically in a compact-store pass and vice versa.
-    for (const bool compact : {false, true}) {
-        ReachabilityOptions resume = base;
-        resume.resume = ckpt;
-        resume.compact_store = compact;
-        ReachabilityExplorer resumed(compiled, resume);
-        const auto result = resumed.run_query(bundle.query);
-        expect_identical(fixture.net, reference, result,
-                         std::string("sequential resume, ") +
-                             (compact ? "compact" : "legacy") + " layout");
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        for (const bool compact : {false, true}) {
+            ReachabilityOptions resume = base;
+            resume.resume = ckpt;
+            resume.compact_store = compact;
+            resume.threads = threads;
+            ParallelReachabilityExplorer resumed(compiled, resume);
+            const auto result = resumed.run_query(bundle.query);
+            expect_identical(
+                fixture.net, reference, result,
+                std::string("resume @") + std::to_string(threads) + "t, " +
+                    (compact ? "compact" : "legacy") + " layout");
+        }
     }
 }
 
@@ -147,7 +122,6 @@ TEST(Checkpoint, ParallelKillAndResumeMatchesUninterrupted) {
 
     const auto ckpt = std::make_shared<const StoreCheckpoint>(
         StoreCheckpoint::load(path));
-    ASSERT_EQ(ckpt->engine, StoreCheckpoint::Engine::kParallel);
     ASSERT_GT(ckpt->record_count, 0u);
 
     for (const bool compact : {false, true}) {
@@ -172,7 +146,7 @@ TEST(Checkpoint, ResumedPassKeepsCheckpointingToTheNextFile) {
 
     ReachabilityOptions base;
     base.stop_at_first_match = false;
-    ReachabilityExplorer uninterrupted(compiled, base);
+    ParallelReachabilityExplorer uninterrupted(compiled, base);
     const auto reference = uninterrupted.run_query(bundle.query);
 
     const std::string first = temp_path("ckpt_chain_first.ckpt");
@@ -188,7 +162,7 @@ TEST(Checkpoint, ResumedPassKeepsCheckpointingToTheNextFile) {
         StoreCheckpoint::load(first));
     resume.checkpoint_path = second;
     resume.checkpoint_every = 4096;
-    ReachabilityExplorer resumed(compiled, resume);
+    ParallelReachabilityExplorer resumed(compiled, resume);
     const auto result = resumed.run_query(bundle.query);
     expect_identical(fixture.net, reference, result, "chained resume");
 
@@ -207,7 +181,7 @@ TEST(Checkpoint, CorruptedOrTruncatedFileRejectedLoudly) {
     options.stop_at_first_match = false;
     options.checkpoint_path = path;
     options.checkpoint_every = 4;
-    ReachabilityExplorer explorer(compiled, options);
+    ParallelReachabilityExplorer explorer(compiled, options);
     explorer.run_query(bundle.query);
     ASSERT_NO_THROW(StoreCheckpoint::load(path)) << "pristine file";
 
@@ -263,7 +237,7 @@ TEST(Checkpoint, StructuralOrMarkingChangeRefusedOnResume) {
     ReachabilityOptions options;
     options.stop_at_first_match = false;
     options.resume = ckpt;
-    ReachabilityExplorer foreign(other_compiled, options);
+    ParallelReachabilityExplorer foreign(other_compiled, options);
     EXPECT_THROW(foreign.run_query(other_bundle.query),
                  std::runtime_error);
 
@@ -273,56 +247,77 @@ TEST(Checkpoint, StructuralOrMarkingChangeRefusedOnResume) {
     const CompiledNet gap_compiled(gap.net);
     if (gap_compiled.structure_digest() == compiled.structure_digest()) {
         const QueryBundle gap_bundle(gap.net);
-        ReachabilityExplorer reconfigured(gap_compiled, options);
+        ParallelReachabilityExplorer reconfigured(gap_compiled, options);
         EXPECT_THROW(reconfigured.run_query(gap_bundle.query),
                      std::runtime_error);
     }
 }
 
-TEST(Checkpoint, EngineKindMismatchRefused) {
-    const Fixture fixture = ope_fixture(3, 3);
+TEST(Checkpoint, OldVersionRefused) {
+    // Version-1 files carried an engine kind and a sequential cursor;
+    // the current format has neither, so an old file must be refused by
+    // its version word — not misparsed — even with a valid checksum.
+    const Fixture fixture = ring_fixture(6);
     const CompiledNet compiled(fixture.net);
     const QueryBundle bundle(fixture.net);
+    const std::string path = temp_path("ckpt_version.ckpt");
+    std::remove(path.c_str());
+    killed_run(compiled, bundle.query, path, 1, 1'000'000, 1);
+    ASSERT_NO_THROW(StoreCheckpoint::load(path)) << "current version";
 
-    const std::string seq_path = temp_path("ckpt_kind_seq.ckpt");
-    const std::string par_path = temp_path("ckpt_kind_par.ckpt");
-    std::remove(seq_path.c_str());
-    std::remove(par_path.c_str());
-    killed_run(compiled, bundle.query, seq_path, 1, 30, 512);
-    killed_run(compiled, bundle.query, par_path, 4, 60, 1);
-    const auto seq_ckpt = std::make_shared<const StoreCheckpoint>(
-        StoreCheckpoint::load(seq_path));
-    const auto par_ckpt = std::make_shared<const StoreCheckpoint>(
-        StoreCheckpoint::load(par_path));
-    ASSERT_EQ(seq_ckpt->engine, StoreCheckpoint::Engine::kSequential);
-    ASSERT_EQ(par_ckpt->engine, StoreCheckpoint::Engine::kParallel);
+    std::vector<std::uint64_t> words;
+    {
+        std::ifstream in(path, std::ios::binary | std::ios::ate);
+        ASSERT_TRUE(in.good());
+        words.resize(static_cast<std::size_t>(in.tellg()) /
+                     sizeof(std::uint64_t));
+        in.seekg(0);
+        in.read(reinterpret_cast<char*>(words.data()),
+                static_cast<std::streamsize>(words.size() *
+                                             sizeof(std::uint64_t)));
+    }
+    ASSERT_GT(words.size(), 2u);
+    words[1] = 1;  // the version word
+    words.back() = hash_marking_words(words.data(), words.size() - 1);
+    const std::string old = temp_path("ckpt_version_1.ckpt");
+    {
+        std::ofstream out(old, std::ios::binary);
+        out.write(reinterpret_cast<const char*>(words.data()),
+                  static_cast<std::streamsize>(words.size() *
+                                               sizeof(std::uint64_t)));
+    }
+    try {
+        StoreCheckpoint::load(old);
+        FAIL() << "a version-1 checkpoint loaded";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
+            << e.what();
+    }
+}
 
-    ReachabilityOptions options;
-    options.stop_at_first_match = false;
-    options.resume = par_ckpt;
-    ReachabilityExplorer sequential(compiled, options);
-    EXPECT_THROW(sequential.run_query(bundle.query), std::runtime_error);
-
-    options.resume = seq_ckpt;
-    options.threads = 4;
-    ParallelReachabilityExplorer parallel(compiled, options);
-    EXPECT_THROW(parallel.run_query(bundle.query), std::runtime_error);
-
-    // A 1-thread "parallel" pass IS the sequential code path, so it
-    // accepts the sequential checkpoint and refuses the parallel one.
-    options.threads = 1;
-    ParallelReachabilityExplorer delegated(compiled, options);
-    EXPECT_NO_THROW(delegated.run_query(bundle.query));
-    options.resume = par_ckpt;
-    ParallelReachabilityExplorer delegated_par(compiled, options);
-    EXPECT_THROW(delegated_par.run_query(bundle.query),
-                 std::runtime_error);
+TEST(Checkpoint, DesignCadenceWritesAtEveryThreadCount) {
+    // One Design::set_checkpoint cadence counts expanded states at every
+    // thread count: 4096 on the ~191k-state 3-stage OPE writes resume
+    // points at 1 thread and at 4 alike.
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const std::string path = temp_path(
+            "ckpt_design_" + std::to_string(threads) + "t.ckpt");
+        std::remove(path.c_str());
+        flow::DesignOptions options;
+        options.verify.threads = threads;
+        flow::Design design(ope::build_reconfigurable_ope_dfs(3, 3), options);
+        design.set_checkpoint(path, 4096);
+        ASSERT_TRUE(design.verify().clean()) << threads;
+        const auto ckpt = StoreCheckpoint::load(path);
+        EXPECT_GT(ckpt.record_count, 4096u) << threads;
+        EXPECT_FALSE(ckpt.frontier.empty()) << threads;
+    }
 }
 
 TEST(Checkpoint, ReuseStoreAndCheckpointingRefusedTogether) {
     // A cross-pass ReuseStore retains rows the checkpoint cannot carry;
-    // both engines must refuse the combination up front rather than
-    // write checkpoints that cannot faithfully resume.
+    // the engine must refuse the combination up front, at every thread
+    // count, rather than write checkpoints that cannot faithfully resume.
     const Fixture fixture = ring_fixture(3);
     const CompiledNet compiled(fixture.net);
     const QueryBundle bundle(fixture.net);
@@ -331,12 +326,12 @@ TEST(Checkpoint, ReuseStoreAndCheckpointingRefusedTogether) {
     options.stop_at_first_match = false;
     options.reuse = std::make_shared<ReuseStore>();
     options.checkpoint_path = temp_path("ckpt_reuse.ckpt");
-    ReachabilityExplorer sequential(compiled, options);
-    EXPECT_THROW(sequential.run_query(bundle.query), std::runtime_error);
-
-    options.threads = 4;
-    ParallelReachabilityExplorer parallel(compiled, options);
-    EXPECT_THROW(parallel.run_query(bundle.query), std::runtime_error);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        options.threads = threads;
+        ParallelReachabilityExplorer explorer(compiled, options);
+        EXPECT_THROW(explorer.run_query(bundle.query), std::runtime_error)
+            << threads;
+    }
 }
 
 }  // namespace

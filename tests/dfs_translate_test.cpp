@@ -7,6 +7,7 @@
 #include "dfs/simulator.hpp"
 #include "dfs/translate.hpp"
 #include "dfs_helpers.hpp"
+#include "petri/parallel.hpp"
 #include "petri/reachability.hpp"
 #include "util/rng.hpp"
 
@@ -174,7 +175,7 @@ std::size_t dfs_state_count(const Dynamics& dyn) {
 void expect_equal_state_spaces(const Graph& graph) {
     const Dynamics dyn(graph);
     const Translation tr = to_petri(graph);
-    petri::ReachabilityExplorer explorer(tr.net);
+    petri::ParallelReachabilityExplorer explorer(tr.net);
     EXPECT_EQ(dfs_state_count(dyn), explorer.count_states());
 }
 
@@ -191,7 +192,7 @@ TEST(Translate, StateSpaceBisimulationControlRing) {
 TEST(Translate, PnDeadlockFreeForFig1b) {
     const auto m = make_fig1b();
     const Translation tr = to_petri(m.graph);
-    petri::ReachabilityExplorer explorer(tr.net);
+    petri::ParallelReachabilityExplorer explorer(tr.net);
     EXPECT_TRUE(explorer.find_deadlocks().deadlocks.empty());
 }
 
@@ -215,7 +216,7 @@ TEST(Translate, PnFindsSeededDeadlock) {
     // A fully marked control ring can never advance: every register's
     // R-postset is occupied.
     const Translation tr = to_petri(g);
-    petri::ReachabilityExplorer explorer(tr.net);
+    petri::ParallelReachabilityExplorer explorer(tr.net);
     const auto result = explorer.find_deadlocks();
     EXPECT_FALSE(result.deadlocks.empty());
 }

@@ -140,8 +140,7 @@ TEST(Design, VerifyThreadsOptionShardsTheSameExploration) {
         EXPECT_EQ(par.findings[i].states_explored,
                   seq.findings[i].states_explored)
             << i;
-        EXPECT_EQ(par.findings[i].trace.size(), seq.findings[i].trace.size())
-            << i;
+        EXPECT_EQ(par.findings[i].trace, seq.findings[i].trace) << i;
     }
 }
 

@@ -43,43 +43,13 @@ Net depth_net(int stages, int depth) {
     return dfs::to_petri(p.graph).net;
 }
 
-/// Full bit-equality of two passes: counters, sets, witness markings
-/// AND traces, plus every witness replaying onto the net.
-void expect_identical(const Net& net, const MultiResult& a,
-                      const MultiResult& b, const std::string& context) {
-    EXPECT_EQ(a.states_explored, b.states_explored) << context;
-    EXPECT_EQ(a.edges_explored, b.edges_explored) << context;
-    EXPECT_EQ(a.truncated, b.truncated) << context;
-    EXPECT_EQ(sorted(a.deadlocks), sorted(b.deadlocks)) << context;
-    EXPECT_EQ(violation_set(a.persistence_violations),
-              violation_set(b.persistence_violations))
-        << context;
-    ASSERT_EQ(a.goals.size(), b.goals.size()) << context;
-    for (std::size_t g = 0; g < a.goals.size(); ++g) {
-        ASSERT_EQ(a.goals[g].found(), b.goals[g].found())
-            << context << " goal " << g;
-        if (!a.goals[g].found()) continue;
-        EXPECT_EQ(a.goals[g].witness, b.goals[g].witness)
-            << context << " goal " << g;
-        EXPECT_EQ(a.goals[g].witness_trace->firings,
-                  b.goals[g].witness_trace->firings)
-            << context << " goal " << g;
-        expect_replays(net, *b.goals[g].witness_trace, *b.goals[g].witness,
-                       context + " goal " + std::to_string(g));
-    }
-    ASSERT_EQ(a.persistence_violations.size(),
-              b.persistence_violations.size())
-        << context;
-    for (std::size_t v = 0; v < a.persistence_violations.size(); ++v) {
-        EXPECT_EQ(a.persistence_violations[v].trace_to_marking.firings,
-                  b.persistence_violations[v].trace_to_marking.firings)
-            << context << " violation " << v;
-    }
-}
-
 // ------------------------------------------------- engine differential --
 
 TEST(Incremental, SequentialReuseMatchesScratchAcrossDepths) {
+    // One worker: the scratch pass matches the oracle, and the reused
+    // pass is bit-identical to the scratch pass, cold and warm (the
+    // warm sweep's scratch passes repeat the cold ones, so the oracle
+    // runs once per depth).
     const auto reuse = std::make_shared<ReuseStore>();
     std::size_t warm_interned = 0;
     for (int sweep = 0; sweep < 2; ++sweep) {  // cold sweep, then warm
@@ -92,13 +62,17 @@ TEST(Incremental, SequentialReuseMatchesScratchAcrossDepths) {
 
             ReachabilityOptions scratch;
             scratch.stop_at_first_match = false;
-            ReachabilityExplorer seq(compiled, scratch);
+            scratch.threads = 1;
+            ParallelReachabilityExplorer seq(compiled, scratch);
             const auto reference = seq.run_query(bundle.query);
-            ASSERT_FALSE(reference.truncated) << context;
+            if (sweep == 0) {
+                expect_matches_oracle(net, oracle_for(net, bundle.query),
+                                      reference, context);
+            }
 
             ReachabilityOptions incremental = scratch;
             incremental.reuse = reuse;
-            ReachabilityExplorer inc(compiled, incremental);
+            ParallelReachabilityExplorer inc(compiled, incremental);
             const auto result = inc.run_query(bundle.query);
             expect_identical(net, reference, result, context);
         }
@@ -158,7 +132,7 @@ TEST(Incremental, TruncationStaysExactOnWarmStores) {
     ReachabilityOptions warm;
     warm.stop_at_first_match = false;
     warm.reuse = reuse;
-    ReachabilityExplorer(compiled, warm).run_query(bundle.query);
+    ParallelReachabilityExplorer(compiled, warm).run_query(bundle.query);
     ASSERT_GT(reuse->interned_markings(), 64u);
 
     for (const std::size_t threads :
@@ -176,11 +150,11 @@ TEST(Incremental, TruncationStaysExactOnWarmStores) {
 
     ReachabilityOptions scratch;
     scratch.stop_at_first_match = false;
-    ReachabilityExplorer seq(compiled, scratch);
+    ParallelReachabilityExplorer seq(compiled, scratch);
     const auto reference = seq.run_query(bundle.query);
     ReachabilityOptions incremental = scratch;
     incremental.reuse = reuse;
-    ReachabilityExplorer inc(compiled, incremental);
+    ParallelReachabilityExplorer inc(compiled, incremental);
     expect_identical(net, reference, inc.run_query(bundle.query),
                      "full pass after truncated passes");
 }
@@ -223,7 +197,8 @@ TEST(Incremental, AttachInvalidatesRowsOnStructureChangeOnly) {
     ReachabilityOptions incremental;
     incremental.stop_at_first_match = false;
     incremental.reuse = reuse;
-    ReachabilityExplorer(ca, incremental).run_query(QueryBundle(a).query);
+    ParallelReachabilityExplorer(ca, incremental)
+        .run_query(QueryBundle(a).query);
 
     EXPECT_TRUE(reuse->attach(cb, 1));
     EXPECT_GT(reuse->geometry_rev(), rev);
@@ -231,10 +206,10 @@ TEST(Incremental, AttachInvalidatesRowsOnStructureChangeOnly) {
 
     ReachabilityOptions scratch;
     scratch.stop_at_first_match = false;
-    const auto reference =
-        ReachabilityExplorer(cb, scratch).run_query(QueryBundle(b).query);
-    const auto result =
-        ReachabilityExplorer(cb, incremental).run_query(QueryBundle(b).query);
+    const auto reference = ParallelReachabilityExplorer(cb, scratch)
+                               .run_query(QueryBundle(b).query);
+    const auto result = ParallelReachabilityExplorer(cb, incremental)
+                            .run_query(QueryBundle(b).query);
     expect_identical(b, reference, result, "reattached structure b");
 }
 
@@ -248,7 +223,7 @@ TEST(Incremental, DimensionMismatchFallsBackToScratch) {
         ReachabilityOptions options;
         options.stop_at_first_match = false;
         options.reuse = reuse;
-        ReachabilityExplorer(compiled, options).run_query(
+        ParallelReachabilityExplorer(compiled, options).run_query(
             QueryBundle(small).query);
     }
     const std::size_t interned = reuse->interned_markings();
@@ -301,10 +276,11 @@ TEST(Incremental, DeltaCompiledNetMatchesFullBuild) {
     const QueryBundle bundle(child_net);
     ReachabilityOptions options;
     options.stop_at_first_match = false;
+    options.threads = 1;
     const auto reference =
-        ReachabilityExplorer(full, options).run_query(bundle.query);
+        ParallelReachabilityExplorer(full, options).run_query(bundle.query);
     const auto result =
-        ReachabilityExplorer(delta, options).run_query(bundle.query);
+        ParallelReachabilityExplorer(delta, options).run_query(bundle.query);
     expect_identical(child_net, reference, result, "delta vs full, seq");
 
     options.threads = 4;
@@ -318,7 +294,7 @@ TEST(Incremental, DeltaCompiledNetMatchesFullBuild) {
     const CompiledNet fallback(child_net, unrelated);
     options.threads = 0;
     const auto fb_result =
-        ReachabilityExplorer(fallback, options).run_query(bundle.query);
+        ParallelReachabilityExplorer(fallback, options).run_query(bundle.query);
     expect_identical(child_net, reference, fb_result,
                      "unrelated parent falls back to full build");
 }
@@ -347,8 +323,8 @@ TEST(Incremental, ArtifactCacheServesReconfigurationsAsDeltas) {
     ReachabilityOptions options;
     options.stop_at_first_match = false;
     const auto reference =
-        ReachabilityExplorer(fresh, options).run_query(bundle.query);
-    const auto result = ReachabilityExplorer(child->compiled(), options)
+        ParallelReachabilityExplorer(fresh, options).run_query(bundle.query);
+    const auto result = ParallelReachabilityExplorer(child->compiled(), options)
                             .run_query(bundle.query);
     expect_identical(fresh_net, reference, result, "cache delta model");
 }
@@ -460,7 +436,7 @@ TEST(Incremental, ReuseFallbacksCountedAndSurfacedAtEveryLayer) {
         ReachabilityOptions options;
         options.stop_at_first_match = false;
         options.reuse = reuse;
-        const auto warm = ReachabilityExplorer(compiled, options)
+        const auto warm = ParallelReachabilityExplorer(compiled, options)
                               .run_query(QueryBundle(small).query);
         EXPECT_FALSE(warm.reuse_fallback) << "matched pass is no fallback";
     }
@@ -482,9 +458,10 @@ TEST(Incremental, ReuseFallbacksCountedAndSurfacedAtEveryLayer) {
     const QueryBundle bundle(wide);
     ReachabilityOptions options;
     options.stop_at_first_match = false;
+    options.threads = 1;
     options.reuse = reuse;
     const auto seq =
-        ReachabilityExplorer(cwide, options).run_query(bundle.query);
+        ParallelReachabilityExplorer(cwide, options).run_query(bundle.query);
     EXPECT_TRUE(seq.reuse_fallback);
     EXPECT_EQ(reuse->fallbacks(), 1u);
 
@@ -504,7 +481,7 @@ TEST(Incremental, ReuseFallbacksCountedAndSurfacedAtEveryLayer) {
         ReachabilityOptions wopts;
         wopts.stop_at_first_match = false;
         wopts.reuse = wide_store;
-        ReachabilityExplorer(cwide, wopts).run_query(bundle.query);
+        ParallelReachabilityExplorer(cwide, wopts).run_query(bundle.query);
     }
     ASSERT_EQ(wide_store->marking_words(), cwide.marking_words());
     flow::DesignOptions dopts;

@@ -1,16 +1,18 @@
-// Differential harness for the parallel-frontier reachability engine:
-// every fixture model runs through the sequential ReachabilityExplorer
-// and the ParallelReachabilityExplorer at several thread counts, and the
-// answers must agree exactly — states/edges explored, deadlock sets,
-// persistence-violation sets, goal verdicts, witness lengths — plus a
-// repeated-run determinism check, the parallel truncation contract, the
-// concurrent interning table's own invariants, and the facade adoption
-// (verify::Verifier / flow::Design behind VerifyOptions::threads).
+// Differential harness for the reachability engine: every fixture model
+// runs through the ParallelReachabilityExplorer at 1/2/4/8 threads and is
+// checked against the sequential std::set BFS oracle (petri_oracle.hpp)
+// — states/edges explored, deadlock sets, persistence-violation sets,
+// goal verdicts, witness lengths — plus exact equality of whole results
+// across thread counts, repeated-run determinism, the truncation
+// contract, the concurrent interning table's own invariants, and the
+// facade adoption (verify::Verifier / flow::Design behind
+// VerifyOptions::threads).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -22,6 +24,7 @@
 #include "petri/parallel.hpp"
 #include "petri/predicate.hpp"
 #include "petri/reachability.hpp"
+#include "petri/reuse.hpp"
 #include "petri_fixtures.hpp"
 #include "pipeline/builder.hpp"
 #include "util/rng.hpp"
@@ -32,230 +35,179 @@ namespace {
 
 using namespace testfx;  // model zoo + differential plumbing
 
-constexpr std::size_t kThreadCounts[] = {2, 4, 8};
+constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
 
-// ------------------------------------------------------ differential --
+MultiResult run_full(const CompiledNet& compiled, const MultiQuery& query,
+                     std::size_t threads, bool compact = false) {
+    ReachabilityOptions options;
+    options.stop_at_first_match = false;
+    options.threads = threads;
+    options.compact_store = compact;
+    return ParallelReachabilityExplorer(compiled, options).run_query(query);
+}
 
-void expect_equivalent(const Net& net, const MultiResult& seq,
-                       const MultiResult& par, const std::string& context) {
-    EXPECT_EQ(par.states_explored, seq.states_explored) << context;
-    EXPECT_EQ(par.edges_explored, seq.edges_explored) << context;
-    EXPECT_FALSE(par.truncated) << context;
-    EXPECT_FALSE(seq.truncated) << context;
-
-    EXPECT_EQ(sorted(par.deadlocks), sorted(seq.deadlocks)) << context;
-    EXPECT_EQ(violation_set(par.persistence_violations),
-              violation_set(seq.persistence_violations))
-        << context;
-
-    ASSERT_EQ(par.goals.size(), seq.goals.size()) << context;
-    for (std::size_t g = 0; g < seq.goals.size(); ++g) {
-        const auto& sg = seq.goals[g];
-        const auto& pg = par.goals[g];
-        ASSERT_EQ(pg.found(), sg.found()) << context << " goal " << g;
-        if (!sg.found()) continue;
-        // BFS-shortest witnesses: equal depth, though the parallel
-        // engine may pick a different (canonical) marking of that depth.
-        ASSERT_TRUE(sg.witness_trace.has_value()) << context;
-        ASSERT_TRUE(pg.witness_trace.has_value()) << context;
-        EXPECT_EQ(pg.witness_trace->firings.size(),
-                  sg.witness_trace->firings.size())
-            << context << " goal " << g;
-        expect_replays(net, *pg.witness_trace, *pg.witness,
-                       context + " goal " + std::to_string(g));
-    }
+std::string at(const std::string& name, std::size_t threads) {
+    return name + " @" + std::to_string(threads) + "t";
 }
 
 // -------------------------------------------------------- differential --
 
 TEST(ParallelReachability, DifferentialAgainstSequentialOnEveryFixture) {
+    // The sequential reference is the std::set BFS oracle: every full
+    // pass must match it exactly at every thread count.
     for (const Fixture& fixture : all_fixtures()) {
         const CompiledNet compiled(fixture.net);
         const QueryBundle bundle(fixture.net);
-
-        ReachabilityOptions seq_options;
-        seq_options.stop_at_first_match = false;
-        ReachabilityExplorer seq(compiled, seq_options);
-        const auto reference = seq.run_query(bundle.query);
-
+        const oracle::Result reference = oracle_for(fixture.net, bundle.query);
         for (const std::size_t threads : kThreadCounts) {
-            ReachabilityOptions options;
-            options.stop_at_first_match = false;
-            options.threads = threads;
-            ParallelReachabilityExplorer par(compiled, options);
-            const auto result = par.run_query(bundle.query);
-            expect_equivalent(fixture.net, reference, result,
-                              fixture.name + " @" +
-                                  std::to_string(threads) + "t");
+            expect_matches_oracle(fixture.net, reference,
+                                  run_full(compiled, bundle.query, threads),
+                                  at(fixture.name, threads));
         }
     }
 }
 
 TEST(CompactStore, DifferentialZooAcrossThreadCounts) {
-    // The capacity-tier layout: id-less interning slots carrying arena
-    // back-references. Results must be bit-identical to the legacy
-    // layout on the whole zoo at 1 (sequential) and 2/4/8 threads — the
-    // layout changes where records live, never what gets explored.
+    // The capacity-tier layout: records at id-derived arena positions,
+    // no id->record index. Results must be identical to the legacy
+    // layout at 1 thread (itself checked against the oracle above) on
+    // the whole zoo at every thread count, down to the witness traces —
+    // the layout changes where records live, never what gets explored.
     for (const Fixture& fixture : all_fixtures()) {
         const CompiledNet compiled(fixture.net);
         const QueryBundle bundle(fixture.net);
-
-        ReachabilityOptions seq_options;
-        seq_options.stop_at_first_match = false;
-        ReachabilityExplorer seq(compiled, seq_options);
-        const auto reference = seq.run_query(bundle.query);
-
-        ReachabilityOptions compact_seq = seq_options;
-        compact_seq.compact_store = true;
-        ReachabilityExplorer cseq(compiled, compact_seq);
-        const auto compact_reference = cseq.run_query(bundle.query);
-        expect_equivalent(fixture.net, reference, compact_reference,
-                          fixture.name + " compact @1t");
-        EXPECT_TRUE(compact_reference.memory.store.compact)
-            << fixture.name;
-        EXPECT_FALSE(reference.memory.store.compact) << fixture.name;
-
+        const auto legacy = run_full(compiled, bundle.query, 1);
+        EXPECT_FALSE(legacy.truncated) << fixture.name;
+        EXPECT_FALSE(legacy.memory.store.compact) << fixture.name;
         for (const std::size_t threads : kThreadCounts) {
-            ReachabilityOptions options;
-            options.stop_at_first_match = false;
-            options.threads = threads;
-            options.compact_store = true;
-            ParallelReachabilityExplorer par(compiled, options);
-            const auto result = par.run_query(bundle.query);
-            expect_equivalent(fixture.net, reference, result,
-                              fixture.name + " compact @" +
-                                  std::to_string(threads) + "t");
-            EXPECT_TRUE(result.memory.store.compact)
-                << fixture.name << " @" << threads << "t";
+            const auto compact =
+                run_full(compiled, bundle.query, threads, true);
+            const std::string context = at(fixture.name + " compact", threads);
+            expect_identical(fixture.net, legacy, compact, context);
+            EXPECT_TRUE(compact.memory.store.compact) << context;
         }
     }
 }
 
 TEST(ParallelReachability, RandomizedDifferentialFuzzer) {
-    // >= 20 seeded random models across three topology classes (rings
-    // with bridges, fork/join blocks, bridged meshes), each cross-checked
-    // sequential vs 2/4/8 threads on every counter and set the
-    // differential contract covers. On mismatch the context names the
-    // seed and topology to replay.
+    // 24 seeded random models across three topology classes (rings with
+    // bridges, fork/join blocks, bridged meshes), each checked against
+    // the oracle at 1/2/4/8 threads on every counter and set. On
+    // mismatch the context names the seed and topology to replay.
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
         const Fixture fixture = fuzz_fixture(seed);
         SCOPED_TRACE("fuzz seed=" + std::to_string(seed) + " model=" +
                      fixture.name);
         const CompiledNet compiled(fixture.net);
         const QueryBundle bundle(fixture.net);
-
-        ReachabilityOptions seq_options;
-        seq_options.stop_at_first_match = false;
-        ReachabilityExplorer seq(compiled, seq_options);
-        const auto reference = seq.run_query(bundle.query);
-        ASSERT_FALSE(reference.truncated) << fixture.name;
-
+        const oracle::Result reference = oracle_for(fixture.net, bundle.query);
         for (const std::size_t threads : kThreadCounts) {
-            ReachabilityOptions options;
-            options.stop_at_first_match = false;
-            options.threads = threads;
-            ParallelReachabilityExplorer par(compiled, options);
-            const auto result = par.run_query(bundle.query);
-            expect_equivalent(fixture.net, reference, result,
-                              "fuzz seed=" + std::to_string(seed) +
-                                  " model=" + fixture.name + " @" +
-                                  std::to_string(threads) + "t");
+            expect_matches_oracle(
+                fixture.net, reference,
+                run_full(compiled, bundle.query, threads),
+                at("fuzz seed=" + std::to_string(seed) + " model=" +
+                       fixture.name,
+                   threads));
         }
     }
 }
 
-TEST(ParallelReachability, WorkStealingMatchesCursorOnNarrowLayers) {
+TEST(ParallelReachability, NarrowLayersMatchOracle) {
     // The steal-heavy workload: deep rings whose BFS layers stay narrow,
-    // where deque scheduling actually redistributes work. Both
-    // schedulers must produce the canonical results at every thread
-    // count.
+    // where deque scheduling actually redistributes work. Results must
+    // match the oracle at every thread count.
     for (const Fixture& fixture :
          {deep_ring_fixture(16, 8), deep_ring_fixture(16, 4)}) {
         const CompiledNet compiled(fixture.net);
         const QueryBundle bundle(fixture.net);
-
-        ReachabilityOptions seq_options;
-        seq_options.stop_at_first_match = false;
-        ReachabilityExplorer seq(compiled, seq_options);
-        const auto reference = seq.run_query(bundle.query);
-
+        const oracle::Result reference = oracle_for(fixture.net, bundle.query);
         for (const std::size_t threads : kThreadCounts) {
-            for (const bool stealing : {true, false}) {
-                ReachabilityOptions options;
-                options.stop_at_first_match = false;
-                options.threads = threads;
-                options.work_stealing = stealing;
-                ParallelReachabilityExplorer par(compiled, options);
-                const auto result = par.run_query(bundle.query);
-                expect_equivalent(
-                    fixture.net, reference, result,
-                    fixture.name + (stealing ? " steal" : " cursor") +
-                        " @" + std::to_string(threads) + "t");
-            }
+            expect_matches_oracle(fixture.net, reference,
+                                  run_full(compiled, bundle.query, threads),
+                                  at(fixture.name, threads));
         }
     }
 }
 
 TEST(ParallelReachability, FinderSurfaceMatchesSequential) {
     // The convenience entry points (find / find_all / find_deadlocks /
-    // explore_all / count_states) answer like the sequential engine's.
+    // explore_all / count_states) answer like the oracle, and identically
+    // at 4 threads and at 1.
     const Fixture fixture = gap_fixture();
     const Net& net = fixture.net;
     const CompiledNet compiled(net);
+    const Predicate dead = Predicate::deadlock();
+    const Predicate* goals[] = {&dead};
+    const oracle::Result reference = oracle::explore(net, goals);
+    ASSERT_TRUE(reference.goal_depth[0].has_value());
 
-    ReachabilityExplorer seq(compiled);
-    ReachabilityOptions options;
-    options.threads = 4;
-    ParallelReachabilityExplorer par(compiled, options);
+    ReachabilityOptions one;
+    one.threads = 1;
+    ReachabilityOptions four;
+    four.threads = 4;
+    ParallelReachabilityExplorer seq(compiled, one);
+    ParallelReachabilityExplorer par(compiled, four);
 
-    EXPECT_EQ(par.count_states(), seq.count_states());
+    EXPECT_EQ(par.count_states(), reference.states);
+    EXPECT_EQ(seq.count_states(), reference.states);
+    EXPECT_EQ(par.explore_all().edges_explored, reference.edges);
 
     const auto seq_dead = seq.find_deadlocks();
     const auto par_dead = par.find_deadlocks();
-    EXPECT_EQ(par_dead.states_explored, seq_dead.states_explored);
-    EXPECT_EQ(sorted(par_dead.deadlocks), sorted(seq_dead.deadlocks));
+    EXPECT_EQ(par_dead.states_explored, reference.states);
+    EXPECT_EQ(par_dead.deadlocks, reference.deadlocks);
+    EXPECT_EQ(seq_dead.deadlocks, par_dead.deadlocks);
     ASSERT_TRUE(par_dead.found());
-    EXPECT_EQ(par_dead.witness_trace->firings.size(),
-              seq_dead.witness_trace->firings.size());
+    EXPECT_EQ(par_dead.witness_trace->firings.size(), *reference.goal_depth[0]);
+    EXPECT_EQ(seq_dead.witness_trace->firings, par_dead.witness_trace->firings);
 
-    // Early-stop single-goal search: same verdict and witness depth (the
-    // parallel engine finishes the resolving layer, so state counters may
-    // legitimately exceed the sequential mid-layer stop).
-    const auto goal = Predicate::deadlock();
-    const auto seq_hit = ReachabilityExplorer(compiled).find(goal);
-    const auto par_hit =
-        ParallelReachabilityExplorer(compiled, options).find(goal);
+    // Early-stop single-goal search: the pass ends at the resolving
+    // layer's boundary at every thread count, so counters and witness
+    // agree exactly, not just the verdict.
+    const auto seq_hit = seq.find(dead);
+    const auto par_hit = par.find(dead);
     ASSERT_TRUE(seq_hit.found());
     ASSERT_TRUE(par_hit.found());
-    EXPECT_EQ(par_hit.witness_trace->firings.size(),
-              seq_hit.witness_trace->firings.size());
+    EXPECT_EQ(par_hit.states_explored, seq_hit.states_explored);
+    EXPECT_EQ(par_hit.witness, seq_hit.witness);
+    EXPECT_EQ(par_hit.witness_trace->firings, seq_hit.witness_trace->firings);
+    EXPECT_EQ(par_hit.witness_trace->firings.size(), *reference.goal_depth[0]);
+
+    const auto found_all = par.find_all(goals);
+    ASSERT_EQ(found_all.size(), 1u);
+    EXPECT_EQ(found_all[0].witness, par_hit.witness);
 }
 
-TEST(ParallelReachability, SingleThreadIsTheSequentialCodePath) {
-    // threads == 1 must reproduce the sequential engine bit for bit,
-    // including its discovery-order witness (not the canonical one).
-    const Fixture fixture = gap_fixture();
-    const CompiledNet compiled(fixture.net);
-    const QueryBundle bundle(fixture.net);
+TEST(ParallelReachability, ReportsIdenticalAtEveryThreadCount) {
+    // One engine, one answer: whole results — counters, deadlock lists,
+    // witness markings and traces, violation traces — are identical at
+    // 1, 2 and 4 threads over the fixture zoo, both for exhaustive
+    // passes and for early-stopped goal searches.
+    for (const Fixture& fixture : all_fixtures()) {
+        const CompiledNet compiled(fixture.net);
+        const QueryBundle bundle(fixture.net);
+        MultiQuery early;
+        early.goals = bundle.query.goals;
 
-    ReachabilityOptions options;
-    options.stop_at_first_match = false;
-    ReachabilityExplorer seq(compiled, options);
-    const auto reference = seq.run_query(bundle.query);
-
-    options.threads = 1;
-    ParallelReachabilityExplorer par(compiled, options);
-    const auto result = par.run_query(bundle.query);
-
-    EXPECT_EQ(result.states_explored, reference.states_explored);
-    EXPECT_EQ(result.edges_explored, reference.edges_explored);
-    ASSERT_EQ(result.goals.size(), reference.goals.size());
-    for (std::size_t g = 0; g < reference.goals.size(); ++g) {
-        ASSERT_EQ(result.goals[g].found(), reference.goals[g].found());
-        if (!reference.goals[g].found()) continue;
-        EXPECT_EQ(result.goals[g].witness, reference.goals[g].witness);
-        EXPECT_EQ(result.goals[g].witness_trace->firings,
-                  reference.goals[g].witness_trace->firings);
+        std::optional<MultiResult> full_at_1;
+        std::optional<MultiResult> early_at_1;
+        for (const std::size_t threads : {1, 2, 4}) {
+            auto full = run_full(compiled, bundle.query, threads);
+            ReachabilityOptions options;
+            options.threads = threads;
+            auto stopped =
+                ParallelReachabilityExplorer(compiled, options).run_query(
+                    early);
+            if (!full_at_1) {
+                full_at_1 = std::move(full);
+                early_at_1 = std::move(stopped);
+                continue;
+            }
+            expect_identical(fixture.net, *full_at_1, full,
+                             at(fixture.name, threads));
+            expect_identical(fixture.net, *early_at_1, stopped,
+                             at(fixture.name + " early stop", threads));
+        }
     }
 }
 
@@ -271,39 +223,15 @@ TEST(ParallelReachability, RepeatedRunsAreDeterministic) {
 
     std::optional<MultiResult> baseline;
     for (const std::size_t threads : kThreadCounts) {
-        ReachabilityOptions options;
-        options.stop_at_first_match = false;
-        options.threads = threads;
         for (int run = 0; run < 10; ++run) {
-            ParallelReachabilityExplorer par(compiled, options);
-            const auto result = par.run_query(bundle.query);
+            auto result = run_full(compiled, bundle.query, threads);
             if (!baseline) {
-                baseline = result;
                 ASSERT_TRUE(result.goals[0].found());
+                baseline = std::move(result);
                 continue;
             }
-            const std::string context = "run " + std::to_string(run) +
-                                        " @" + std::to_string(threads) +
-                                        "t";
-            EXPECT_EQ(result.states_explored, baseline->states_explored)
-                << context;
-            EXPECT_EQ(result.edges_explored, baseline->edges_explored)
-                << context;
-            EXPECT_EQ(sorted(result.deadlocks), sorted(baseline->deadlocks))
-                << context;
-            ASSERT_EQ(result.goals.size(), baseline->goals.size());
-            for (std::size_t g = 0; g < result.goals.size(); ++g) {
-                ASSERT_EQ(result.goals[g].found(),
-                          baseline->goals[g].found())
-                    << context;
-                if (!baseline->goals[g].found()) continue;
-                EXPECT_EQ(result.goals[g].witness,
-                          baseline->goals[g].witness)
-                    << context;
-                EXPECT_EQ(result.goals[g].witness_trace->firings,
-                          baseline->goals[g].witness_trace->firings)
-                    << context;
-            }
+            expect_identical(fixture.net, *baseline, result,
+                             at("run " + std::to_string(run), threads));
         }
     }
 }
@@ -313,12 +241,10 @@ TEST(ParallelReachability, RepeatedRunsAreDeterministic) {
 TEST(ParallelReachability, TruncationContract) {
     // With max_states below the true count the pass must stop truncated.
     // Contract: never above max_states, and — because ids are allocated
-    // densely below the cap — exactly max_states, at every thread count
-    // (threads == 1 inherits the sequential engine's exact guarantee).
+    // densely below the cap — exactly max_states, at every thread count.
     const Fixture fixture = ope_fixture(3, 3);  // 191k true states
     const CompiledNet compiled(fixture.net);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{4}, std::size_t{8}}) {
+    for (const std::size_t threads : kThreadCounts) {
         ReachabilityOptions options;
         options.max_states = 4096;
         options.threads = threads;
@@ -346,37 +272,17 @@ TEST(ParallelReachability, NoTruncationAtExactFit) {
 // ------------------------------------------------------- stop hook ------
 
 TEST(StopHook, FiresWithinEdgeBoundOnReducedPasses) {
-    // Regression: the stop hook used to be polled on interned *states*
-    // only (every 2048 in the sequential engine, per layer in the
-    // parallel one), so a heavily POR-reduced pass — few fresh states,
-    // many edges — could run far past its deadline. Both engines now
-    // also poll every 256 expanded edges; with a hook that trips right
-    // after its first call the pass must stop within a small edge
-    // budget, nowhere near the fixture's full reduced exploration.
+    // Regression: polling the stop hook on interned states or layers
+    // only let a heavily POR-reduced pass — few fresh states, many edges
+    // — run far past its deadline. The engine also polls every 256
+    // edges per worker; with a hook that trips right after its first
+    // call the pass must stop within a small edge budget, nowhere near
+    // the fixture's full reduced exploration. The bound scales with the
+    // worker count.
     const Fixture fixture = ope_fixture(3, 3);
     const CompiledNet compiled(fixture.net);
     MultiQuery query;
     query.collect_deadlocks = true;
-
-    // Sequential engine: polls at head & 2047 == 0 states AND every 256
-    // edges, so after the hook trips at most 256 edges can pass.
-    {
-        std::atomic<std::size_t> calls{0};
-        ReachabilityOptions options;
-        options.stop_at_first_match = false;
-        options.por = true;
-        options.stop = [&calls] {
-            return calls.fetch_add(1, std::memory_order_relaxed) >= 1;
-        };
-        ReachabilityExplorer seq(compiled, options);
-        const auto result = seq.run_query(query);
-        EXPECT_TRUE(result.truncated);
-        EXPECT_LE(result.edges_explored, 512u)
-            << "sequential edge poll missed its bound";
-    }
-
-    // Parallel engine: per-layer serial poll plus a per-worker poll
-    // every 256 edges, so the bound scales with the worker count.
     for (const std::size_t threads : kThreadCounts) {
         std::atomic<std::size_t> calls{0};
         ReachabilityOptions options;
@@ -390,43 +296,20 @@ TEST(StopHook, FiresWithinEdgeBoundOnReducedPasses) {
         const auto result = par.run_query(query);
         EXPECT_TRUE(result.truncated) << threads;
         EXPECT_LE(result.edges_explored, 512u * threads + 512u)
-            << "parallel edge poll missed its bound @" << threads << "t";
+            << "edge poll missed its bound @" << threads << "t";
     }
 }
 
 // ----------------------------------------------------- memory contract --
 
-/// Full results of two passes must be indistinguishable: counters, sets,
-/// witness markings AND traces (both configurations pick the canonical
-/// witness, so full equality is the contract, not just equal depths).
-void expect_identical(const MultiResult& a, const MultiResult& b,
-                      const std::string& context) {
-    EXPECT_EQ(a.states_explored, b.states_explored) << context;
-    EXPECT_EQ(a.edges_explored, b.edges_explored) << context;
-    EXPECT_EQ(a.truncated, b.truncated) << context;
-    EXPECT_EQ(sorted(a.deadlocks), sorted(b.deadlocks)) << context;
-    EXPECT_EQ(violation_set(a.persistence_violations),
-              violation_set(b.persistence_violations))
-        << context;
-    ASSERT_EQ(a.goals.size(), b.goals.size()) << context;
-    for (std::size_t g = 0; g < a.goals.size(); ++g) {
-        ASSERT_EQ(a.goals[g].found(), b.goals[g].found())
-            << context << " goal " << g;
-        if (!a.goals[g].found()) continue;
-        EXPECT_EQ(a.goals[g].witness, b.goals[g].witness)
-            << context << " goal " << g;
-        EXPECT_EQ(a.goals[g].witness_trace->firings,
-                  b.goals[g].witness_trace->firings)
-            << context << " goal " << g;
-    }
-    ASSERT_EQ(a.persistence_violations.size(),
-              b.persistence_violations.size())
-        << context;
-    for (std::size_t v = 0; v < a.persistence_violations.size(); ++v) {
-        EXPECT_EQ(a.persistence_violations[v].trace_to_marking.firings,
-                  b.persistence_violations[v].trace_to_marking.firings)
-            << context << " violation " << v;
-    }
+/// The same query on a fresh ReuseStore: the reuse path keeps every
+/// state's enabled row inside its record (no frontier-only cache), so it
+/// is the undieted reference for the diet's byte and result contracts.
+MultiResult run_with_rows_resident(const CompiledNet& compiled,
+                                   const MultiQuery& query,
+                                   ReachabilityOptions options) {
+    options.reuse = std::make_shared<ReuseStore>();
+    return ParallelReachabilityExplorer(compiled, options).run_query(query);
 }
 
 TEST(MemoryDiet, CacheDropsEnabledShareAndKeepsResultsBitIdentical) {
@@ -437,20 +320,19 @@ TEST(MemoryDiet, CacheDropsEnabledShareAndKeepsResultsBitIdentical) {
     const CompiledNet compiled(fixture.net);
     const QueryBundle bundle(fixture.net);
 
-    MultiResult with_cache;
-    MultiResult without_cache;
-    for (const bool cache : {true, false}) {
-        ReachabilityOptions options;
-        options.stop_at_first_match = false;
-        options.threads = 4;
-        options.frontier_enabled_cache = cache;
-        ParallelReachabilityExplorer par(compiled, options);
-        (cache ? with_cache : without_cache) = par.run_query(bundle.query);
-    }
-    expect_identical(with_cache, without_cache, "ope_s3_d3 cache on/off");
+    ReachabilityOptions options;
+    options.stop_at_first_match = false;
+    options.threads = 4;
+    const auto with_cache =
+        ParallelReachabilityExplorer(compiled, options).run_query(bundle.query);
+    const auto without_cache =
+        run_with_rows_resident(compiled, bundle.query, options);
+    ASSERT_FALSE(without_cache.reuse_fallback);
+    expect_identical(fixture.net, with_cache, without_cache,
+                     "ope_s3_d3 cache on/off");
 
     // Record layout: marking + 2 witness meta words, plus the enabled
-    // words only when the cache is off. Arena block granularity makes
+    // words only when rows stay resident. Arena block granularity makes
     // the measured byte counts approximate; 5% covers it at 191k states.
     const std::size_t mwords = compiled.marking_words();
     const std::size_t twords = compiled.enabled_words();
@@ -469,97 +351,52 @@ TEST(MemoryDiet, CacheDropsEnabledShareAndKeepsResultsBitIdentical) {
               without_cache.memory.resident_bytes);
     EXPECT_GE(with_cache.memory.peak_bytes,
               with_cache.memory.resident_bytes);
-
-    // The sequential engine's variant of the cache (block release behind
-    // the implicit frontier) obeys the same result contract.
-    ReachabilityOptions seq_options;
-    seq_options.stop_at_first_match = false;
-    MultiResult seq_with;
-    MultiResult seq_without;
-    for (const bool cache : {true, false}) {
-        seq_options.frontier_enabled_cache = cache;
-        ReachabilityExplorer seq(compiled, seq_options);
-        (cache ? seq_with : seq_without) = seq.run_query(bundle.query);
-    }
-    expect_identical(seq_with, seq_without, "ope_s3_d3 sequential on/off");
-    EXPECT_LT(seq_with.memory.resident_bytes,
-              seq_without.memory.resident_bytes);
-    EXPECT_GT(seq_without.memory.peak_bytes, 0u);
 }
 
 TEST(MemoryDiet, EvictionPathStressUnderEveryScheduler) {
-    // Many-layer model, every scheduler/witness-tree combination: the
-    // arena recycling (parallel) and block release (sequential) paths
-    // the ASan job must walk. Witness traces are materialised to force
-    // reconstruction after eviction.
+    // Many-layer model through the one scheduler at every worker count:
+    // the arena recycling path the ASan job must walk. Witness traces
+    // are materialised to force reconstruction after eviction.
     const Fixture fixture = gap_fixture();
     const CompiledNet compiled(fixture.net);
     const QueryBundle bundle(fixture.net);
-
-    ReachabilityOptions seq_options;
-    seq_options.stop_at_first_match = false;
-    ReachabilityExplorer seq(compiled, seq_options);
-    const auto reference = seq.run_query(bundle.query);
-
-    for (const bool stealing : {true, false}) {
-        for (const bool cas :
-             {true, false}) {
-            ReachabilityOptions options;
-            options.stop_at_first_match = false;
-            options.threads = 4;
-            options.work_stealing = stealing;
-            options.witness_tree =
-                cas ? ReachabilityOptions::WitnessTree::kCanonicalCas
-                    : ReachabilityOptions::WitnessTree::kResweep;
-            ParallelReachabilityExplorer par(compiled, options);
-            const auto result = par.run_query(bundle.query);
-            expect_equivalent(fixture.net, reference, result,
-                              std::string("gap eviction ") +
-                                  (stealing ? "steal" : "cursor") +
-                                  (cas ? " cas" : " resweep"));
-        }
+    const oracle::Result reference = oracle_for(fixture.net, bundle.query);
+    for (const std::size_t threads : kThreadCounts) {
+        expect_matches_oracle(fixture.net, reference,
+                              run_full(compiled, bundle.query, threads),
+                              at("gap eviction", threads));
     }
 }
 
 TEST(MemoryDiet, ReducedPassAccountsRowsAtAmpleWidth) {
-    // ROADMAP follow-up (a): a reduced pass that never widens (no
-    // persistence check, no proviso — deadlock collection only) stores
-    // frontier rows as [full | ample] with the ample set computed at
-    // discovery, and accounts out-edge provisioning at ample width. The
-    // contract: answers and reduction statistics are bit-identical to
-    // the expansion-time reduction path (diet off), while records still
-    // shed their enabled words.
+    // A reduced pass that never widens (no persistence check, no proviso
+    // — deadlock collection only) stores frontier rows as [full | ample]
+    // with the ample set computed at discovery, and accounts out-edge
+    // provisioning at ample width. The contract: answers and reduction
+    // statistics are bit-identical to the expansion-time reduction path
+    // (rows resident in the records), the deadlock set is the oracle's,
+    // and the row arenas show up in the memory accounting.
     const Fixture fixture = ope_fixture(3, 3);
     const CompiledNet compiled(fixture.net);
     MultiQuery query;
     query.collect_deadlocks = true;
 
-    ReachabilityOptions seq_options;
-    seq_options.stop_at_first_match = false;
-    seq_options.por = true;
-    ReachabilityExplorer seq(compiled, seq_options);
-    const auto reference = seq.run_query(query);
-    ASSERT_TRUE(reference.por.active);
-    ASSERT_GT(reference.por.ignored(), 0u) << "fixture must actually reduce";
-
-    MultiResult with_cache;
-    MultiResult without_cache;
-    for (const bool cache : {true, false}) {
-        ReachabilityOptions options;
-        options.stop_at_first_match = false;
-        options.threads = 4;
-        options.por = true;
-        options.frontier_enabled_cache = cache;
-        ParallelReachabilityExplorer par(compiled, options);
-        (cache ? with_cache : without_cache) = par.run_query(query);
-    }
-    expect_identical(with_cache, without_cache, "reduced diet on/off");
-    EXPECT_EQ(with_cache.states_explored, reference.states_explored);
-    EXPECT_EQ(sorted(with_cache.deadlocks), sorted(reference.deadlocks));
+    ReachabilityOptions options;
+    options.stop_at_first_match = false;
+    options.threads = 4;
+    options.por = true;
+    const auto with_cache =
+        ParallelReachabilityExplorer(compiled, options).run_query(query);
+    const auto without_cache = run_with_rows_resident(compiled, query, options);
+    ASSERT_TRUE(with_cache.por.active);
+    ASSERT_GT(with_cache.por.ignored(), 0u) << "fixture must actually reduce";
+    expect_identical(fixture.net, with_cache, without_cache,
+                     "reduced diet on/off");
+    EXPECT_EQ(with_cache.deadlocks, oracle::explore(fixture.net).deadlocks);
 
     // Discovery-time and expansion-time ample computation must agree on
     // every reduction statistic, not just the verdicts.
-    EXPECT_TRUE(with_cache.por.active);
+    EXPECT_TRUE(without_cache.por.active);
     EXPECT_EQ(with_cache.por.expansions, without_cache.por.expansions);
     EXPECT_EQ(with_cache.por.reduced_expansions,
               without_cache.por.reduced_expansions);
@@ -574,57 +411,18 @@ TEST(MemoryDiet, ReducedPassAccountsRowsAtAmpleWidth) {
     // sizes (a few thousand states), so the enabled-word byte ratio is
     // not measurable here — the full-pass diet test covers it. What
     // must hold on the reduced pass: every record is accounted, and the
-    // per-worker [full | ample] row arenas show up in the resident
-    // accounting (diet off has no row arenas — its enabled words live
-    // inside the store records).
+    // per-worker [full | ample] row arenas show up in the peak (rows
+    // resident in the records have no row arenas).
     EXPECT_EQ(with_cache.memory.records, with_cache.states_explored);
-    ASSERT_GT(without_cache.memory.record_bytes, 0u);
-    ASSERT_GE(with_cache.memory.resident_bytes,
-              with_cache.memory.record_bytes);
+    ASSERT_GE(with_cache.memory.peak_bytes, with_cache.memory.record_bytes);
     const std::size_t with_overhead =
-        with_cache.memory.resident_bytes - with_cache.memory.record_bytes;
+        with_cache.memory.peak_bytes - with_cache.memory.record_bytes;
     const std::size_t without_overhead =
-        without_cache.memory.resident_bytes -
-        without_cache.memory.record_bytes;
+        without_cache.memory.peak_bytes - without_cache.memory.record_bytes;
     EXPECT_GT(with_overhead, without_overhead)
-        << "ample-width row arenas must be part of the resident accounting";
+        << "ample-width row arenas must be part of the memory accounting";
     EXPECT_GE(with_cache.memory.peak_bytes,
               with_cache.memory.resident_bytes);
-}
-
-// --------------------------------------------------------- witness tree --
-
-TEST(WitnessTree, CasAndResweepProduceIdenticalCanonicalTraces) {
-    // The canonical-min CAS maintained during exploration and the serial
-    // re-sweep must build the SAME deterministic tree: identical witness
-    // markings and identical traces, with the cache on and off.
-    const Fixture fixture = gap_fixture();
-    const CompiledNet compiled(fixture.net);
-    const QueryBundle bundle(fixture.net);
-
-    std::optional<MultiResult> baseline;
-    for (const bool cache : {true, false}) {
-        for (const bool cas : {true, false}) {
-            ReachabilityOptions options;
-            options.stop_at_first_match = false;
-            options.threads = 4;
-            options.frontier_enabled_cache = cache;
-            options.witness_tree =
-                cas ? ReachabilityOptions::WitnessTree::kCanonicalCas
-                    : ReachabilityOptions::WitnessTree::kResweep;
-            ParallelReachabilityExplorer par(compiled, options);
-            auto result = par.run_query(bundle.query);
-            if (!baseline) {
-                ASSERT_TRUE(result.goals[0].found());
-                baseline = std::move(result);
-                continue;
-            }
-            expect_identical(*baseline, result,
-                             std::string("witness tree ") +
-                                 (cas ? "cas" : "resweep") +
-                                 (cache ? " cache" : " nocache"));
-        }
-    }
 }
 
 // ------------------------------------------- concurrent interning table --
@@ -654,6 +452,53 @@ TEST(ConcurrentMarkingStore, InternsDedupesAndEnforcesCapacity) {
     EXPECT_EQ(store[0][store.meta_offset()], 0u);
     store.record_mut(0)[store.meta_offset()] = 77;
     EXPECT_EQ(store[0][store.meta_offset()], 77u);
+}
+
+TEST(ConcurrentMarkingStore, SurvivesGrowthRehash) {
+    // Serial reserve between inserts doubles the table several times;
+    // every id must survive each rehash.
+    ConcurrentMarkingStore store(1, 0, 1);
+    for (std::uint64_t i = 0; i < 5000; ++i) {
+        store.reserve(i + 1);
+        const auto r = store.intern(&i, 0, SIZE_MAX);
+        ASSERT_TRUE(r.inserted);
+        ASSERT_EQ(r.id, i);
+    }
+    for (std::uint64_t i = 0; i < 5000; ++i) {
+        const auto r = store.intern(&i, 0, SIZE_MAX);
+        ASSERT_FALSE(r.inserted);
+        ASSERT_EQ(r.id, i);
+        ASSERT_EQ(store.find(&i), i);
+    }
+}
+
+TEST(ConcurrentMarkingStore, MetaWordsLiveInTheRecord) {
+    // Records carry meta words after the marking payload: the first
+    // `meta_init_words` copied in before publication, the rest zeroed,
+    // untouched by dedup hits, stable across table growth (records never
+    // move) — in both layouts. The engine keeps witness links here, so
+    // trace rebuilding must not depend on any side array staying aligned
+    // with insertion order.
+    for (const bool compact : {false, true}) {
+        ConcurrentMarkingStore store(1, /*meta_words=*/2, 1, compact);
+        for (std::uint64_t i = 0; i < 3000; ++i) {
+            store.reserve(i + 1);
+            const std::uint64_t init = i * 2 + 1;
+            const auto r = store.intern(&i, 0, SIZE_MAX, &init, 1);
+            ASSERT_TRUE(r.inserted);
+            EXPECT_EQ(store[r.id][store.meta_offset()], init);
+            EXPECT_EQ(store[r.id][store.meta_offset() + 1], 0u);
+            store.record_mut(r.id)[store.meta_offset() + 1] = ~i;
+        }
+        for (std::uint64_t i = 0; i < 3000; ++i) {
+            const auto r = store.intern(&i, 0, SIZE_MAX);  // after rehashes
+            ASSERT_FALSE(r.inserted);
+            const std::uint64_t* record = store[r.id];
+            EXPECT_EQ(record[0], i);  // payload intact
+            EXPECT_EQ(record[store.meta_offset()], i * 2 + 1);
+            EXPECT_EQ(record[store.meta_offset() + 1], ~i);
+        }
+    }
 }
 
 TEST(ConcurrentMarkingStore, ConcurrentInterningIsConsistent) {
@@ -760,6 +605,8 @@ TEST(StealDeque, OwnerAndThievesClaimEveryTaskExactlyOnce) {
 // ------------------------------------------------------ facade adoption --
 
 TEST(ParallelVerify, VerifierThreadsKnobKeepsReportsEquivalent) {
+    // Reports are identical at every thread count, 1 included: verdicts,
+    // state counts, details and the full witness traces.
     auto p = ope::build_reconfigurable_ope_dfs(3, 3);
     pipeline::reset_ring(p.graph, p.stages[1].global_ring,
                          dfs::TokenValue::False);
@@ -768,6 +615,7 @@ TEST(ParallelVerify, VerifierThreadsKnobKeepsReportsEquivalent) {
     sequential.threads = 1;
     const verify::Verifier seq(p.graph, sequential);
     const auto seq_report = seq.verify_all();
+    ASSERT_FALSE(seq_report.clean());
 
     for (const std::size_t threads : kThreadCounts) {
         verify::VerifyOptions options;
@@ -782,8 +630,11 @@ TEST(ParallelVerify, VerifierThreadsKnobKeepsReportsEquivalent) {
             EXPECT_EQ(pf.violated, sf.violated) << i;
             EXPECT_EQ(pf.truncated, sf.truncated) << i;
             EXPECT_EQ(pf.states_explored, sf.states_explored) << i;
-            EXPECT_EQ(pf.trace.size(), sf.trace.size()) << i;
+            EXPECT_EQ(pf.detail, sf.detail) << i;
+            EXPECT_EQ(pf.trace, sf.trace) << i;
+            EXPECT_EQ(pf.dfs_trace, sf.dfs_trace) << i;
         }
+        EXPECT_EQ(par_report.to_string(), seq_report.to_string());
         EXPECT_EQ(par.explorations_run(), 1u);
     }
 }
@@ -812,8 +663,9 @@ TEST(ParallelVerify, DesignAdoptsThreadsThroughOptions) {
 
 TEST(ParallelVerify, MemoryStatsSurfaceThroughVerifierAndDesign) {
     // memory_stats() rides the facades: std::nullopt before any
-    // exploration, populated by verify(), and the enabled-set cache knob
-    // reaches the engine through VerifyOptions with verdicts unchanged.
+    // exploration, populated by verify(). An incremental session keeps
+    // enabled rows inside its reused records, so the same verdicts come
+    // with fatter records.
     flow::DesignOptions options;
     options.verify.threads = 2;
     flow::Design design(ope::build_reconfigurable_ope_dfs(3, 3), options);
@@ -829,7 +681,7 @@ TEST(ParallelVerify, MemoryStatsSurfaceThroughVerifierAndDesign) {
 
     flow::DesignOptions fat_options;
     fat_options.verify.threads = 2;
-    fat_options.verify.frontier_enabled_cache = false;
+    fat_options.incremental = true;
     flow::Design fat(ope::build_reconfigurable_ope_dfs(3, 3), fat_options);
     const auto fat_report = fat.verify();
     ASSERT_TRUE(fat_report.clean());

@@ -1,7 +1,7 @@
 // Shared Petri-net test fixtures and differential-harness plumbing:
 // the model zoo (paper-style rings/wagging/OPE plus seeded random
-// topologies) and the query/replay helpers used by the parallel-engine
-// differential harness (parallel_reachability_test.cpp) and the
+// topologies) and the query/replay/oracle-comparison helpers used by the
+// engine's differential harness (parallel_reachability_test.cpp) and the
 // partial-order-reduction harness (por_test.cpp). Header-only, test-only.
 
 #pragma once
@@ -20,6 +20,7 @@
 #include "petri/net.hpp"
 #include "petri/predicate.hpp"
 #include "petri/reachability.hpp"
+#include "petri_oracle.hpp"
 #include "pipeline/builder.hpp"
 #include "pipeline/wagging.hpp"
 #include "util/rng.hpp"
@@ -120,9 +121,9 @@ inline Fixture random_fixture(std::uint64_t seed) {
 }
 
 /// A deep token ring at the Petri level: `n` places in a cycle with
-/// `tokens` evenly spaced tokens. BFS diameter grows with n while layers
-/// stay narrow — the steal-heavy workload the work-stealing scheduler
-/// exists for.
+/// tokens every `spacing` places. BFS diameter grows with n while layers
+/// stay narrow — the steal-heavy workload for the work-stealing
+/// scheduler.
 inline Fixture deep_ring_fixture(int n, int spacing) {
     dfs::Graph g("deepring_n" + std::to_string(n) + "_s" +
                  std::to_string(spacing));
@@ -300,6 +301,91 @@ inline void expect_replays(const Net& net, const Trace& trace,
         net.fire(m, t);
     }
     EXPECT_EQ(m, end) << context << ": witness trace misses its witness";
+}
+
+/// The oracle's answer to a QueryBundle-shaped query over `net`.
+inline oracle::Result oracle_for(const Net& net, const MultiQuery& query) {
+    return oracle::explore(net, query.goals, query.check_persistence,
+                           query.persistence_exempt);
+}
+
+/// Verdict-level agreement with the oracle — what POR passes must keep:
+/// goal reachability, the exact deadlock set, and the persistence
+/// verdict. Witness traces must still replay onto their witnesses.
+inline void expect_verdicts_match_oracle(const Net& net,
+                                         const oracle::Result& ref,
+                                         const MultiResult& result,
+                                         const std::string& context) {
+    EXPECT_FALSE(result.truncated) << context;
+    EXPECT_EQ(sorted(result.deadlocks), ref.deadlocks) << context;
+    EXPECT_EQ(result.persistence_violations.empty(), ref.violations.empty())
+        << context;
+    ASSERT_EQ(result.goals.size(), ref.goal_depth.size()) << context;
+    for (std::size_t g = 0; g < ref.goal_depth.size(); ++g) {
+        const auto& r = result.goals[g];
+        ASSERT_EQ(r.found(), ref.goal_depth[g].has_value())
+            << context << " goal " << g;
+        if (!r.found()) continue;
+        ASSERT_TRUE(r.witness_trace.has_value()) << context;
+        expect_replays(net, *r.witness_trace, *r.witness,
+                       context + " goal " + std::to_string(g));
+    }
+}
+
+/// Exact agreement with the oracle — what full passes must give: every
+/// counter and set, plus BFS-shortest witnesses (trace length equals the
+/// oracle's first-match depth).
+inline void expect_matches_oracle(const Net& net, const oracle::Result& ref,
+                                  const MultiResult& result,
+                                  const std::string& context) {
+    expect_verdicts_match_oracle(net, ref, result, context);
+    EXPECT_EQ(result.states_explored, ref.states) << context;
+    EXPECT_EQ(result.edges_explored, ref.edges) << context;
+    EXPECT_EQ(violation_set(result.persistence_violations), ref.violations)
+        << context;
+    for (std::size_t g = 0; g < ref.goal_depth.size(); ++g) {
+        if (!ref.goal_depth[g] || !result.goals[g].witness_trace) continue;
+        EXPECT_EQ(result.goals[g].witness_trace->firings.size(),
+                  *ref.goal_depth[g])
+            << context << " goal " << g;
+    }
+}
+
+/// Two passes must be indistinguishable: counters, sets, witness markings
+/// AND traces, violation traces — the contract across thread counts,
+/// store layouts, scratch vs reused stores, and resumed vs uninterrupted
+/// passes. Every witness of `b` must also replay onto `net`.
+inline void expect_identical(const Net& net, const MultiResult& a,
+                             const MultiResult& b,
+                             const std::string& context) {
+    EXPECT_EQ(a.states_explored, b.states_explored) << context;
+    EXPECT_EQ(a.edges_explored, b.edges_explored) << context;
+    EXPECT_EQ(a.truncated, b.truncated) << context;
+    EXPECT_EQ(a.deadlocks, b.deadlocks) << context;
+    EXPECT_EQ(violation_set(a.persistence_violations),
+              violation_set(b.persistence_violations))
+        << context;
+    ASSERT_EQ(a.goals.size(), b.goals.size()) << context;
+    for (std::size_t g = 0; g < a.goals.size(); ++g) {
+        ASSERT_EQ(a.goals[g].found(), b.goals[g].found())
+            << context << " goal " << g;
+        if (!a.goals[g].found()) continue;
+        EXPECT_EQ(a.goals[g].witness, b.goals[g].witness)
+            << context << " goal " << g;
+        EXPECT_EQ(a.goals[g].witness_trace->firings,
+                  b.goals[g].witness_trace->firings)
+            << context << " goal " << g;
+        expect_replays(net, *b.goals[g].witness_trace, *b.goals[g].witness,
+                       context + " goal " + std::to_string(g));
+    }
+    ASSERT_EQ(a.persistence_violations.size(),
+              b.persistence_violations.size())
+        << context;
+    for (std::size_t v = 0; v < a.persistence_violations.size(); ++v) {
+        EXPECT_EQ(a.persistence_violations[v].trace_to_marking.firings,
+                  b.persistence_violations[v].trace_to_marking.firings)
+            << context << " violation " << v;
+    }
 }
 
 }  // namespace rap::petri::testfx

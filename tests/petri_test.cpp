@@ -2,6 +2,7 @@
 
 #include "petri/dot.hpp"
 #include "petri/net.hpp"
+#include "petri/parallel.hpp"
 #include "petri/persistence.hpp"
 #include "petri/predicate.hpp"
 #include "petri/reachability.hpp"
@@ -121,13 +122,13 @@ TEST(Net, DeadlockDetection) {
 
 TEST(Reachability, RingHasTwoStates) {
     const Net net = make_ring();
-    ReachabilityExplorer explorer(net);
+    ParallelReachabilityExplorer explorer(net);
     EXPECT_EQ(explorer.count_states(), 2u);
 }
 
 TEST(Reachability, FindsMarkedPlaceWithShortestTrace) {
     const Net net = make_ring();
-    ReachabilityExplorer explorer(net);
+    ParallelReachabilityExplorer explorer(net);
     const auto result = explorer.find(Predicate::marked(net, "p1"));
     ASSERT_TRUE(result.found());
     ASSERT_TRUE(result.witness_trace.has_value());
@@ -137,7 +138,7 @@ TEST(Reachability, FindsMarkedPlaceWithShortestTrace) {
 
 TEST(Reachability, GoalAtInitialStateHasEmptyTrace) {
     const Net net = make_ring();
-    ReachabilityExplorer explorer(net);
+    ParallelReachabilityExplorer explorer(net);
     const auto result = explorer.find(Predicate::marked(net, "p0"));
     ASSERT_TRUE(result.found());
     EXPECT_TRUE(result.witness_trace->firings.empty());
@@ -145,7 +146,7 @@ TEST(Reachability, GoalAtInitialStateHasEmptyTrace) {
 
 TEST(Reachability, UnreachableGoalExploresEverything) {
     const Net net = make_ring();
-    ReachabilityExplorer explorer(net);
+    ParallelReachabilityExplorer explorer(net);
     const auto result = explorer.find(Predicate::marked(net, "p0") &&
                                       Predicate::marked(net, "p1"));
     EXPECT_FALSE(result.found());
@@ -159,7 +160,7 @@ TEST(Reachability, DeadlockFoundInLinearChain) {
     const auto t = net.add_transition("t");
     net.add_input_arc(a, t);
     net.add_output_arc(t, b);
-    ReachabilityExplorer explorer(net);
+    ParallelReachabilityExplorer explorer(net);
     const auto result = explorer.find_deadlocks();
     ASSERT_EQ(result.deadlocks.size(), 1u);
     EXPECT_TRUE(result.deadlocks[0].get(b.value));
@@ -168,7 +169,7 @@ TEST(Reachability, DeadlockFoundInLinearChain) {
 
 TEST(Reachability, LiveRingHasNoDeadlock) {
     const Net net = make_ring();
-    ReachabilityExplorer explorer(net);
+    ParallelReachabilityExplorer explorer(net);
     EXPECT_TRUE(explorer.find_deadlocks().deadlocks.empty());
 }
 
@@ -188,7 +189,7 @@ TEST(Reachability, MaxStatesTruncates) {
     }
     ReachabilityOptions options;
     options.max_states = 100;
-    ReachabilityExplorer explorer(net, options);
+    ParallelReachabilityExplorer explorer(net, options);
     const auto result = explorer.explore_all();
     EXPECT_TRUE(result.truncated);
     EXPECT_LE(result.states_explored, 102u);

@@ -1,15 +1,15 @@
 // Differential harness for partial-order (stubborn-set) reduction:
 // every fixture model and 24 fuzzer seeds run reduced
-// (ReachabilityOptions::por) against the full exploration, across the
-// sequential engine and the parallel engine at 2/4/8 threads. The
+// (ReachabilityOptions::por) at 1/2/4/8 threads against the full
+// state graph of the std::set BFS oracle (petri_oracle.hpp). The
 // contract checked here is exactly the one the option documents —
 // verdicts preserved (deadlock sets EXACTLY equal, goal reachability
 // and the persistence verdict unchanged), reduced witnesses genuine
 // (replayed firing by firing, goal re-evaluated at the end marking),
-// reduced violation sets a subset of the full pass's, reduced counters
-// deterministic across engines and thread counts — plus the PorStats
-// surface, the unknown-support fallback, and actual state-count
-// reduction on the OPE models the CI ratio floor gates.
+// reduced violation sets a subset of the full graph's, reduced counters
+// identical across thread counts — plus the PorStats surface, the
+// unknown-support fallback, and actual state-count reduction on the OPE
+// models the CI ratio floor gates.
 
 #include <gtest/gtest.h>
 
@@ -31,17 +31,7 @@ using namespace testfx;  // model zoo + differential plumbing
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
 
-/// Full (unreduced) exhaustive reference pass, sequential engine.
-MultiResult full_reference(const CompiledNet& compiled,
-                           const MultiQuery& query) {
-    ReachabilityOptions options;
-    options.stop_at_first_match = false;
-    ReachabilityExplorer seq(compiled, options);
-    return seq.run_query(query);
-}
-
-/// Reduced exhaustive pass; threads == 1 is the sequential engine's
-/// code path (via the parallel facade's delegation contract).
+/// Reduced exhaustive pass at `threads` workers.
 MultiResult reduced_run(const CompiledNet& compiled,
                         const MultiQuery& query, std::size_t threads) {
     ReachabilityOptions options;
@@ -62,48 +52,37 @@ bool satisfies(const Net& net, const Predicate& goal, const Marking& m) {
     return goal(net, m);
 }
 
-/// The reduction contract between one full pass and one reduced pass
-/// over the same query.
+/// The reduction contract between the full state graph (the oracle) and
+/// one reduced pass over the same query.
 void expect_preserves(const Net& net, const QueryBundle& bundle,
-                      const MultiResult& full, const MultiResult& red,
+                      const oracle::Result& full, const MultiResult& red,
                       const std::string& context) {
-    ASSERT_FALSE(full.truncated) << context;
     ASSERT_FALSE(red.truncated) << context;
-    EXPECT_LE(red.states_explored, full.states_explored) << context;
-    EXPECT_LE(red.edges_explored, full.edges_explored) << context;
+    EXPECT_LE(red.states_explored, full.states) << context;
+    EXPECT_LE(red.edges_explored, full.edges) << context;
 
     // Deadlock sets are EXACTLY preserved (stubbornness alone keeps
-    // every deadlock reachable, and reduction never invents states).
-    EXPECT_EQ(sorted(red.deadlocks), sorted(full.deadlocks)) << context;
+    // every deadlock reachable, and reduction never invents states);
+    // goal verdicts and the persistence verdict match, and witnesses
+    // replay onto their markings.
+    expect_verdicts_match_oracle(net, full, red, context);
 
-    // Goal verdicts match; reduced witnesses are genuine firing
-    // sequences whose end marking satisfies the goal (they need not be
-    // shortest, and the marking may differ from the full pass's).
-    ASSERT_EQ(red.goals.size(), full.goals.size()) << context;
+    // Reduced witnesses satisfy their goal (they need not be shortest,
+    // and the marking may differ from the full pass's).
     const Predicate* goal_preds[] = {&bundle.dead, &bundle.marked};
-    for (std::size_t g = 0; g < full.goals.size(); ++g) {
-        ASSERT_EQ(red.goals[g].found(), full.goals[g].found())
-            << context << " goal " << g;
+    for (std::size_t g = 0; g < red.goals.size(); ++g) {
         if (!red.goals[g].found()) continue;
-        ASSERT_TRUE(red.goals[g].witness_trace.has_value())
-            << context << " goal " << g;
-        expect_replays(net, *red.goals[g].witness_trace,
-                       *red.goals[g].witness,
-                       context + " goal " + std::to_string(g));
         EXPECT_TRUE(satisfies(net, *goal_preds[g], *red.goals[g].witness))
             << context << " goal " << g;
     }
 
-    // Persistence: same verdict, and every reduced violation is one the
-    // full pass found too (the prepass checks full-graph edges at
-    // reduced-reachable states, so red ⊆ full).
-    EXPECT_EQ(red.persistence_violations.empty(),
-              full.persistence_violations.empty())
-        << context;
-    const auto full_keys = violation_set(full.persistence_violations);
+    // Every reduced violation is one the full graph has too (the
+    // prepass checks full-graph edges at reduced-reachable states, so
+    // red ⊆ full).
     const auto red_keys = violation_set(red.persistence_violations);
-    EXPECT_TRUE(std::includes(full_keys.begin(), full_keys.end(),
-                              red_keys.begin(), red_keys.end()))
+    EXPECT_TRUE(std::includes(full.violations.begin(),
+                              full.violations.end(), red_keys.begin(),
+                              red_keys.end()))
         << context << ": reduced violations are not a subset";
     for (const auto& v : red.persistence_violations) {
         expect_replays(net, v.trace_to_marking, v.marking,
@@ -125,11 +104,10 @@ void expect_preserves(const Net& net, const QueryBundle& bundle,
     EXPECT_GE(red.por.expansions, red.por.reduced_expansions) << context;
     EXPECT_GE(red.por.reduced_expansions, red.por.proviso_expansions)
         << context;
-    EXPECT_FALSE(full.por.active) << context;
 }
 
 /// The reduced graph is one deterministic object: counters, sets and
-/// stats must be identical whichever engine / thread count explored it.
+/// stats must be identical whichever thread count explored it.
 void expect_same_reduced_graph(const MultiResult& a, const MultiResult& b,
                                const std::string& context) {
     EXPECT_EQ(a.states_explored, b.states_explored) << context;
@@ -155,7 +133,7 @@ TEST(PorDifferential, VerdictsPreservedOnEveryFixture) {
     for (const Fixture& fixture : all_fixtures()) {
         const CompiledNet compiled(fixture.net);
         const QueryBundle bundle(fixture.net);
-        const auto full = full_reference(compiled, bundle.query);
+        const oracle::Result full = oracle_for(fixture.net, bundle.query);
 
         std::optional<MultiResult> baseline;
         for (const std::size_t threads : kThreadCounts) {
@@ -182,8 +160,7 @@ TEST(PorDifferential, RandomizedFuzzer24Seeds) {
                      " model=" + fixture.name);
         const CompiledNet compiled(fixture.net);
         const QueryBundle bundle(fixture.net);
-        const auto full = full_reference(compiled, bundle.query);
-        ASSERT_FALSE(full.truncated) << fixture.name;
+        const oracle::Result full = oracle_for(fixture.net, bundle.query);
 
         std::optional<MultiResult> baseline;
         for (const std::size_t threads : kThreadCounts) {
@@ -216,19 +193,16 @@ TEST(PorReduction, DeadlockPassShrinksTheOpeModels) {
         query.goals = {&dead};
         query.collect_deadlocks = true;
 
-        const auto full = full_reference(compiled, query);
+        const oracle::Result full = oracle_for(fixture.net, query);
         const auto red = reduced_run(compiled, query, 1);
-        ASSERT_FALSE(full.truncated) << fixture.name;
         ASSERT_FALSE(red.truncated) << fixture.name;
-        EXPECT_EQ(sorted(red.deadlocks), sorted(full.deadlocks))
+        EXPECT_EQ(sorted(red.deadlocks), full.deadlocks) << fixture.name;
+        EXPECT_EQ(red.goals[0].found(), full.goal_depth[0].has_value())
             << fixture.name;
-        EXPECT_EQ(red.goals[0].found(), full.goals[0].found())
-            << fixture.name;
-        EXPECT_LT(red.states_explored, full.states_explored)
-            << fixture.name;
+        EXPECT_LT(red.states_explored, full.states) << fixture.name;
         EXPECT_GT(red.por.ignored(), 0u) << fixture.name;
 
-        // The parallel engine explores the same reduced graph.
+        // Four workers explore the same reduced graph.
         const auto red4 = reduced_run(compiled, query, 4);
         expect_same_reduced_graph(red, red4, fixture.name + " @4t");
     }
@@ -259,7 +233,7 @@ TEST(PorReduction, FiveStageOpeReducedPassFitsTierOne) {
         << "reduced 5-stage graph grew an order of magnitude — the "
            "stubborn heuristic regressed";
 
-    // Deterministic reduced graph across engines and thread counts.
+    // Deterministic reduced graph across thread counts.
     const auto red4 = reduced_run(compiled, query, 4);
     expect_same_reduced_graph(red, red4, fixture.name + " @4t");
 }
@@ -269,8 +243,8 @@ TEST(PorReduction, FiveStageOpeReducedPassFitsTierOne) {
 TEST(PorStats, InactiveWhenOff) {
     const Fixture fixture = ring_fixture(2);
     const CompiledNet compiled(fixture.net);
-    ReachabilityExplorer seq(compiled);
-    const auto result = seq.explore_all();
+    ParallelReachabilityExplorer explorer(compiled);
+    const auto result = explorer.explore_all();
     EXPECT_FALSE(result.por.active);
     EXPECT_EQ(result.por.expansions, 0u);
     EXPECT_EQ(result.por.enabled_transitions, 0u);
@@ -288,14 +262,15 @@ TEST(PorStats, UnknownSupportGoalFallsBackToFullExploration) {
 
     MultiQuery query;
     query.goals = {&opaque};
-    const auto full = full_reference(compiled, query);
+    const oracle::Result full = oracle_for(fixture.net, query);
 
     for (const std::size_t threads : kThreadCounts) {
         const auto red = reduced_run(compiled, query, threads);
         EXPECT_FALSE(red.por.active) << threads;
-        EXPECT_EQ(red.states_explored, full.states_explored) << threads;
-        EXPECT_EQ(red.edges_explored, full.edges_explored) << threads;
-        EXPECT_EQ(red.goals[0].found(), full.goals[0].found()) << threads;
+        EXPECT_EQ(red.states_explored, full.states) << threads;
+        EXPECT_EQ(red.edges_explored, full.edges) << threads;
+        EXPECT_EQ(red.goals[0].found(), full.goal_depth[0].has_value())
+            << threads;
     }
 }
 
@@ -310,10 +285,10 @@ TEST(PorStats, SupportedCustomGoalKeepsReductionActive) {
 
     MultiQuery query;
     query.goals = {&scoped};
-    const auto full = full_reference(compiled, query);
+    const oracle::Result full = oracle_for(fixture.net, query);
     const auto red = reduced_run(compiled, query, 1);
     EXPECT_TRUE(red.por.active);
-    EXPECT_EQ(red.goals[0].found(), full.goals[0].found());
+    EXPECT_EQ(red.goals[0].found(), full.goal_depth[0].has_value());
     if (red.goals[0].found()) {
         expect_replays(fixture.net, *red.goals[0].witness_trace,
                        *red.goals[0].witness, "scoped custom goal");

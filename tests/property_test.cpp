@@ -12,6 +12,7 @@
 #include "dfs/model.hpp"
 #include "dfs/serialize.hpp"
 #include "dfs/translate.hpp"
+#include "petri/parallel.hpp"
 #include "petri/reachability.hpp"
 #include "util/rng.hpp"
 
@@ -154,7 +155,7 @@ TEST_P(RandomModel, StateSpacesAgree) {
     if (truncated) GTEST_SKIP() << "state space above the fuzz cap";
 
     const Translation tr = to_petri(g);
-    petri::ReachabilityExplorer explorer(tr.net);
+    petri::ParallelReachabilityExplorer explorer(tr.net);
     EXPECT_EQ(explorer.count_states(), seen.size());
 }
 
@@ -165,7 +166,7 @@ TEST_P(RandomModel, TranslationStaysOneHotSafe) {
     petri::ReachabilityOptions options;
     options.max_states = 60000;
     options.stop_at_first_match = true;
-    petri::ReachabilityExplorer explorer(tr.net);
+    petri::ParallelReachabilityExplorer explorer(tr.net);
 
     // A marking violating any variable's one-hot encoding would mean the
     // translation lost 1-safety.

@@ -6,13 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
 #include <unordered_map>
 
 #include "petri/compiled.hpp"
 #include "petri/net.hpp"
+#include "petri/parallel.hpp"
 #include "petri/persistence.hpp"
 #include "petri/predicate.hpp"
 #include "petri/reachability.hpp"
+#include "petri/reuse.hpp"
+#include "petri_oracle.hpp"
 
 namespace rap::petri {
 namespace {
@@ -69,28 +73,6 @@ Net make_mixed() {
     net.add_input_arc(dst, t_self);
     net.add_output_arc(t_self, dst);
     return net;
-}
-
-/// Seed-style naive BFS (full rescan per state, unordered_map interning)
-/// — the reference the compiled engine must agree with exactly.
-std::size_t naive_count_states(const Net& net) {
-    std::unordered_map<Marking, std::size_t, util::BitVecHash> seen;
-    std::deque<Marking> frontier;
-    const Marking m0 = net.initial_marking();
-    seen.emplace(m0, 0);
-    frontier.push_back(m0);
-    while (!frontier.empty()) {
-        const Marking current = frontier.front();
-        frontier.pop_front();
-        for (TransitionId t : net.enabled_transitions(current)) {
-            Marking next = current;
-            net.fire(next, t);
-            if (seen.emplace(next, seen.size()).second) {
-                frontier.push_back(next);
-            }
-        }
-    }
-    return seen.size();
 }
 
 // ------------------------------------------------------- CompiledNet --
@@ -162,8 +144,8 @@ TEST(CompiledNet, IncrementalEnabledSetMatchesFullScan) {
 
 TEST(CompiledNet, StateCountsMatchNaiveExploration) {
     for (const Net& net : {make_ring(), make_toggles(6), make_mixed()}) {
-        ReachabilityExplorer explorer(net);
-        EXPECT_EQ(explorer.count_states(), naive_count_states(net))
+        ParallelReachabilityExplorer explorer(net);
+        EXPECT_EQ(explorer.count_states(), oracle::explore(net).states)
             << net.name();
     }
 }
@@ -171,61 +153,31 @@ TEST(CompiledNet, StateCountsMatchNaiveExploration) {
 // ------------------------------------------------------ MarkingStore --
 
 TEST(MarkingStore, InternsDedupesAndEnforcesCapacity) {
-    MarkingStore store(2);
-    const std::uint64_t a[2] = {1, 2};
-    const std::uint64_t b[2] = {3, 4};
-    const auto ra = store.intern(a, 2);
-    EXPECT_TRUE(ra.inserted);
-    EXPECT_EQ(ra.id, 0u);
-    const auto ra2 = store.intern(a, 2);
-    EXPECT_FALSE(ra2.inserted);
-    EXPECT_EQ(ra2.id, 0u);
-    const auto rb = store.intern(b, 2);
-    EXPECT_TRUE(rb.inserted);
-    EXPECT_EQ(rb.id, 1u);
-    const std::uint64_t c[2] = {5, 6};
-    const auto rc = store.intern(c, 2);  // over capacity
-    EXPECT_FALSE(rc.inserted);
-    EXPECT_EQ(rc.id, MarkingStore::kNone);
-    EXPECT_EQ(store.size(), 2u);
-    EXPECT_EQ(store[1][0], 3u);
-}
-
-TEST(MarkingStore, SurvivesGrowthRehash) {
-    MarkingStore store(1);
-    for (std::uint64_t i = 0; i < 5000; ++i) {
-        const auto r = store.intern(&i, SIZE_MAX);
-        ASSERT_TRUE(r.inserted);
-        ASSERT_EQ(r.id, i);
-    }
-    for (std::uint64_t i = 0; i < 5000; ++i) {
-        const auto r = store.intern(&i, SIZE_MAX);
-        ASSERT_FALSE(r.inserted);
-        ASSERT_EQ(r.id, i);
-    }
-}
-
-TEST(MarkingStore, MetaWordsLiveInTheRecord) {
-    // Records carry caller-owned meta words after the marking payload:
-    // zeroed on intern, untouched by dedup hits, stable across table
-    // growth (the arena never moves records). The reachability engines
-    // keep predecessor links here, so trace rebuilding must not depend on
-    // any side array staying aligned with insertion order.
-    MarkingStore store(1, /*meta_words=*/2);
-    ASSERT_EQ(store.meta_words(), 2u);
-    for (std::uint64_t i = 0; i < 3000; ++i) {
-        const auto r = store.intern(&i, SIZE_MAX);
-        ASSERT_TRUE(r.inserted);
-        EXPECT_EQ(store.meta(r.id)[0], 0u);
-        store.meta(r.id)[0] = i * 2 + 1;
-        store.meta(r.id)[1] = ~i;
-    }
-    for (std::uint64_t i = 0; i < 3000; ++i) {
-        const auto r = store.intern(&i, SIZE_MAX);  // dedup after rehashes
-        ASSERT_FALSE(r.inserted);
-        EXPECT_EQ(store[r.id][0], i);              // payload intact
-        EXPECT_EQ(store.meta(r.id)[0], i * 2 + 1);  // meta intact
-        EXPECT_EQ(store.meta(r.id)[1], ~i);
+    // The one interning table in its single-worker role: dense ids in
+    // insertion order, dedup hits keep their id, and the state limit
+    // refuses inserts without growing the store — in both layouts.
+    for (const bool compact : {false, true}) {
+        ConcurrentMarkingStore store(2, 0, 1, compact);
+        store.reserve(2);
+        const std::uint64_t a[2] = {1, 2};
+        const std::uint64_t b[2] = {3, 4};
+        const auto ra = store.intern(a, 0, 2);
+        EXPECT_TRUE(ra.inserted);
+        EXPECT_EQ(ra.id, 0u);
+        const auto ra2 = store.intern(a, 0, 2);
+        EXPECT_FALSE(ra2.inserted);
+        EXPECT_EQ(ra2.id, 0u);
+        const auto rb = store.intern(b, 0, 2);
+        EXPECT_TRUE(rb.inserted);
+        EXPECT_EQ(rb.id, 1u);
+        const std::uint64_t c[2] = {5, 6};
+        const auto rc = store.intern(c, 0, 2);  // over capacity
+        EXPECT_FALSE(rc.inserted);
+        EXPECT_EQ(rc.id, ConcurrentMarkingStore::kNone);
+        EXPECT_EQ(store.size(), 2u);
+        EXPECT_EQ(store[1][0], 3u);
+        EXPECT_EQ(store[1][1], 4u);
+        EXPECT_EQ(store.find(c), ConcurrentMarkingStore::kNone);
     }
 }
 
@@ -239,7 +191,7 @@ TEST(Reachability, TruncationMidExpansionReportsExactStateCount) {
     const Net net = make_toggles(12);
     ReachabilityOptions options;
     options.max_states = 100;
-    ReachabilityExplorer explorer(net, options);
+    ParallelReachabilityExplorer explorer(net, options);
     const auto result = explorer.explore_all();
     EXPECT_TRUE(result.truncated);
     EXPECT_EQ(result.states_explored, 100u);
@@ -250,7 +202,7 @@ TEST(Reachability, TruncationConsistentAcrossQueryShapes) {
     ReachabilityOptions options;
     options.max_states = 64;
     for (int shape = 0; shape < 3; ++shape) {
-        ReachabilityExplorer explorer(net, options);
+        ParallelReachabilityExplorer explorer(net, options);
         ReachabilityResult result;
         switch (shape) {
             case 0: result = explorer.explore_all(); break;
@@ -274,7 +226,7 @@ TEST(Reachability, NoTruncationAtExactFit) {
     const Net net = make_toggles(5);  // exactly 32 states
     ReachabilityOptions options;
     options.max_states = 32;
-    ReachabilityExplorer explorer(net, options);
+    ParallelReachabilityExplorer explorer(net, options);
     const auto result = explorer.explore_all();
     EXPECT_FALSE(result.truncated);
     EXPECT_EQ(result.states_explored, 32u);
@@ -291,7 +243,7 @@ TEST(Reachability, FindAllAnswersEveryGoalInOnePass) {
         Predicate::marked(net, "src") && Predicate::marked(net, "mid");
     const Predicate* goals[] = {&g_dst, &g_mid, &g_dead, &g_never};
 
-    ReachabilityExplorer explorer(net);
+    ParallelReachabilityExplorer explorer(net);
     const auto results = explorer.find_all(goals);
     ASSERT_EQ(results.size(), 4u);
 
@@ -320,10 +272,10 @@ TEST(Reachability, FindAllMatchesIndividualFinds) {
                     Predicate::marked(net, "b4_1");
     const Predicate* goals[] = {&g1, &g2};
 
-    ReachabilityExplorer multi(net);
+    ParallelReachabilityExplorer multi(net);
     const auto together = multi.find_all(goals);
 
-    ReachabilityExplorer single(net);
+    ParallelReachabilityExplorer single(net);
     const auto alone1 = single.find(g1);
     const auto alone2 = single.find(g2);
 
@@ -356,7 +308,7 @@ TEST(Reachability, RunQueryCombinesGoalsDeadlocksAndPersistence) {
     query.collect_deadlocks = true;
     query.check_persistence = true;
 
-    ReachabilityExplorer explorer(net);
+    ParallelReachabilityExplorer explorer(net);
     const auto multi = explorer.run_query(query);
     EXPECT_EQ(multi.states_explored, 3u);
     ASSERT_EQ(multi.goals.size(), 1u);
@@ -374,7 +326,7 @@ TEST(Reachability, SharedPassPersistenceMatchesStandalone) {
     MultiQuery query;
     query.check_persistence = true;
     query.persistence_stop_at_first = true;
-    ReachabilityExplorer explorer(net);
+    ParallelReachabilityExplorer explorer(net);
     const auto multi = explorer.run_query(query);
 
     ASSERT_EQ(standalone.violations.empty(),
@@ -396,14 +348,14 @@ TEST(Reachability, ExhaustiveSearchKeepsFirstWitness) {
     const Net net = make_mixed();
     ReachabilityOptions options;
     options.stop_at_first_match = false;
-    ReachabilityExplorer explorer(net, options);
+    ParallelReachabilityExplorer explorer(net, options);
     const auto result = explorer.find(Predicate::marked(net, "dst"));
     ASSERT_TRUE(result.found());
     ASSERT_TRUE(result.witness_trace.has_value());
     EXPECT_EQ(result.witness_trace->firings.size(), 1u);
     EXPECT_EQ(result.witness_trace->to_string(net), "drop");
     // The pass itself ran to exhaustion.
-    EXPECT_EQ(result.states_explored, naive_count_states(net));
+    EXPECT_EQ(result.states_explored, oracle::explore(net).states);
 }
 
 // ------------------------------------------------------- determinism --
@@ -415,7 +367,7 @@ TEST(Reachability, TracesDeterministicAcrossRuns) {
     std::vector<TransitionId> first_firings;
     std::size_t first_states = 0;
     for (int run = 0; run < 3; ++run) {
-        ReachabilityExplorer explorer(net);
+        ParallelReachabilityExplorer explorer(net);
         const auto result = explorer.find(goal);
         ASSERT_TRUE(result.found());
         if (run == 0) {
@@ -437,7 +389,7 @@ TEST(Reachability, WitnessTracesReplayFromPredecessorRecords) {
     for (const Net& net : {make_ring(), make_toggles(6), make_mixed()}) {
         ReachabilityOptions options;
         options.stop_at_first_match = false;  // witnesses kept, pass runs on
-        ReachabilityExplorer explorer(net, options);
+        ParallelReachabilityExplorer explorer(net, options);
         for (std::uint32_t pi = 0; pi < net.place_count(); ++pi) {
             const auto goal =
                 Predicate::marked(net, net.place_name(PlaceId{pi}));
@@ -459,7 +411,7 @@ TEST(Reachability, WitnessTracesReplayFromPredecessorRecords) {
 
 TEST(Reachability, ExplorerInstanceIsReusable) {
     const Net net = make_ring();
-    ReachabilityExplorer explorer(net);
+    ParallelReachabilityExplorer explorer(net);
     EXPECT_EQ(explorer.count_states(), 2u);
     const auto found = explorer.find(Predicate::marked(net, "p1"));
     EXPECT_TRUE(found.found());
@@ -484,32 +436,29 @@ Net make_wide_toggles(int n, int dead) {
 }
 
 TEST(Reachability, PeakMemoryCapturesMidPassFrontierSpike) {
-    // Regression: the sequential engine used to sample peak memory only
-    // at frontier-release boundaries, so enabled-row blocks allocated
-    // and given back *between* two boundaries never showed up in
-    // peak_bytes and the reported peak collapsed to the end-of-pass
-    // resident footprint. 15 toggles give 2^15 states in a binomial
-    // layer profile whose widest live window holds ~12k rows; 4066 dead
-    // transitions fatten each row to 64 words, so the transient rows
-    // dwarf both the interned store and the single row block still
-    // resident after the last layer drains. A correct sampler must
+    // The frontier-only enabled-row cache lives and dies inside the pass:
+    // peak_bytes must capture its mid-pass spike while resident_bytes
+    // reports what the pass leaves behind. 15 toggles give 2^15 states
+    // in a binomial layer profile whose widest two layers hold ~12k
+    // rows; 4066 dead transitions fatten each row to 64 words, so the
+    // transient rows dwarf the interned store. A correct sampler must
     // therefore report a peak strictly above the final resident bytes.
     const Net net = make_wide_toggles(15, 4066);
     ReachabilityOptions options;
     options.max_states = std::size_t{1} << 16;
-    options.frontier_enabled_cache = true;
-    ReachabilityExplorer explorer(net, options);
+    options.threads = 1;
+    ParallelReachabilityExplorer explorer(net, options);
     const auto result = explorer.explore_all();
     ASSERT_EQ(result.states_explored, std::size_t{1} << 15);
     ASSERT_FALSE(result.truncated);
     EXPECT_GT(result.memory.peak_bytes, result.memory.resident_bytes);
 
-    // The same pass without the diet keeps every row resident, which
+    // A reuse pass keeps every row resident inside its records, which
     // bounds the dieted peak from above: the spike the sampler reports
     // is a genuine intermediate, not the whole undieted cache.
     ReachabilityOptions no_diet = options;
-    no_diet.frontier_enabled_cache = false;
-    ReachabilityExplorer reference(net, no_diet);
+    no_diet.reuse = std::make_shared<ReuseStore>();
+    ParallelReachabilityExplorer reference(net, no_diet);
     const auto full = reference.explore_all();
     ASSERT_EQ(full.states_explored, result.states_explored);
     EXPECT_LT(result.memory.peak_bytes, full.memory.resident_bytes);

@@ -24,10 +24,10 @@
 namespace rap::petri {
 namespace {
 
-/// Reachable markings of build_reconfigurable_ope_dfs(4, 4), measured by
-/// the sequential engine and pinned here: the parallel pass must
-/// reproduce it exactly, making the soak a differential test at a scale
-/// the tier-1 fixtures cannot afford.
+/// Reachable markings of build_reconfigurable_ope_dfs(4, 4), measured
+/// once and pinned here: every pass must reproduce them exactly, making
+/// the soak a differential test at a scale the tier-1 fixtures cannot
+/// afford.
 constexpr std::size_t kFourStageOpeStates = 19'095'912;
 constexpr std::size_t kFourStageOpeEdges = 137'589'840;
 
@@ -44,12 +44,12 @@ TEST(Soak, FourStageOpeExploresNineteenMillionStates) {
     ReachabilityOptions options;
     options.max_states = 25'000'000;
     options.stop_at_first_match = false;
-    options.threads = 4;  // pinned: the parallel engine even on 1 core
+    options.threads = 4;  // pinned: four workers even on 1 core
 
-    // RAP_SOAK_CHECKPOINT=<path>: serialize a StoreCheckpoint there every
-    // BFS layer and, when the previous nightly left one behind (the CI
-    // job restores it from the artifact store), resume from it — the
-    // continued pass must land on exactly the same pinned counts, which
+    // RAP_SOAK_CHECKPOINT=<path>: serialize a StoreCheckpoint there at
+    // the default cadence and, when the previous nightly left one behind
+    // (the CI job restores it from the artifact store), resume from it —
+    // the continued pass must land on exactly the same pinned counts, which
     // makes every nightly a checkpoint/resume differential at full scale.
     const char* ckpt_path = std::getenv("RAP_SOAK_CHECKPOINT");
     if (ckpt_path != nullptr) {
@@ -57,13 +57,13 @@ TEST(Soak, FourStageOpeExploresNineteenMillionStates) {
         if (std::ifstream(ckpt_path, std::ios::binary).good()) {
             options.resume = std::make_shared<const StoreCheckpoint>(
                 StoreCheckpoint::load(ckpt_path));
-            std::printf("soak: resuming from checkpoint '%s' (%llu of "
-                        "%llu records expanded)\n",
+            std::printf("soak: resuming from checkpoint '%s' (%llu "
+                        "records, frontier at depth %llu)\n",
                         ckpt_path,
                         static_cast<unsigned long long>(
-                            options.resume->head),
+                            options.resume->record_count),
                         static_cast<unsigned long long>(
-                            options.resume->record_count));
+                            options.resume->depth));
         }
     }
     ParallelReachabilityExplorer explorer(compiled, options);

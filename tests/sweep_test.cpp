@@ -148,7 +148,7 @@ TEST(Sweep, ThreeAxisSweepDedupsBeforeCompileAndMatchesSerialRuns) {
             << row.point.label;
 
         // Differential: a serial Design session over the same factory
-        // output, same options shape (sequential engine, same reduction
+        // output, same options shape (one worker, same reduction
         // default as the sweep), must agree verdict-for-verdict and
         // state-for-state.
         DesignOptions serial_options = base;
@@ -248,8 +248,8 @@ TEST(Sweep, CancelStopsCallbacksAndDrainsPool) {
 // findings are truncated (inconclusive), while the sweep carries on.
 TEST(Sweep, PerConfigTimeoutMarksRowTimedOut) {
     // The real 3-stage reconfigurable OPE (~191k states) cannot finish
-    // in a millisecond; the sequential engine polls the stop hook every
-    // 2048 expansions.
+    // in a millisecond; one worker polls the stop hook once per layer
+    // and every 256 edges.
     DesignOptions base;
     base.verify.threads = 1;
     const std::vector<SweepResult> rows = Sweep::ope(base)

@@ -306,8 +306,7 @@ TEST(Spec, CanonicalFindingOrderRegardlessOfRegistration) {
 
 TEST(Spec, OwnsItsPredicates) {
     // The spec owns predicate storage, so it can be assembled from
-    // temporaries and outlive the expressions that built it (the legacy
-    // CustomCheck span required caller-owned predicates).
+    // temporaries and outlive the expressions that built it.
     const auto m = make_fig1b();
     const Verifier verifier(m.graph);
     Spec spec;

@@ -145,13 +145,15 @@ public:
     // -- grid axes (defaults: nominal voltage, scale 1, depth 1) ---------
 
     Campaign& voltages(std::vector<double> values);
+    /// Multipliers of base_faults(); each must be non-negative.
     Campaign& fault_scales(std::vector<double> values);
     Campaign& depths(std::vector<int> values);
 
     // -- behaviour -------------------------------------------------------
 
     /// The fault intensities at scale 1.0 (each point applies
-    /// spec.scaled(point.fault_scale)).
+    /// spec.scaled(point.fault_scale)). A glitch spec with a droop must
+    /// have 0 <= min_duration_s <= max_duration_s.
     Campaign& base_faults(asim::FaultSpec spec);
     /// Seeded runs per grid point (default 32).
     Campaign& runs(std::size_t per_point);
@@ -178,8 +180,6 @@ public:
     /// Worker pool size; 0 (default) = one per hardware thread, capped
     /// at the grid size. Never affects results.
     Campaign& workers(std::size_t count);
-    /// Cap on points simulating at once (default: the worker count).
-    Campaign& max_in_flight(std::size_t count);
     /// Streaming sink for per-run rows, invoked from worker threads
     /// (serialised). Rows of one point arrive in run order; must not
     /// call back into the Handle.
@@ -242,7 +242,6 @@ private:
     bool confirm_hazards_ = false;
     double knee_fraction_ = 0.05;
     std::size_t workers_ = 0;
-    std::size_t max_in_flight_ = 0;
     RunCallback callback_;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <map>
 #include <mutex>
@@ -42,7 +41,6 @@ struct SweepState {
     std::vector<tech::VoltageSchedule> schedules;
     double timeout_s = 0.0;
     Sweep::ResultCallback callback;
-    std::size_t max_in_flight = 1;
     /// Shared-store mode: chains of grid indices, one per (stages,
     /// schedule) pair in grid order. A chain is the scheduling unit —
     /// its points run on one worker, in depth order, against one
@@ -63,8 +61,7 @@ struct SweepState {
 
     // -- mutable results + aggregates (guarded by mutex) ------------------
     std::mutex mutex;
-    std::condition_variable gate;  ///< max_in_flight admission
-    std::size_t in_flight = 0;
+    std::size_t in_flight = 0;  ///< points running right now
     std::vector<SweepResult> results;  ///< slot per grid point
     std::size_t done = 0;
     std::unordered_set<std::string> distinct;  ///< model fingerprints
@@ -209,11 +206,7 @@ SweepResult process_point(SweepState& state, const SweepPoint& point,
 void run_point(SweepState& state, std::size_t index,
                const std::shared_ptr<petri::ReuseStore>& reuse) {
     {
-        std::unique_lock<std::mutex> lock(state.mutex);
-        state.gate.wait(lock, [&] {
-            return state.in_flight < state.max_in_flight ||
-                   state.cancelled.load(std::memory_order_relaxed);
-        });
+        const std::lock_guard<std::mutex> lock(state.mutex);
         ++state.in_flight;
     }
 
@@ -246,7 +239,6 @@ void run_point(SweepState& state, std::size_t index,
             state.callback(state.results[index]);
         }
     }
-    state.gate.notify_one();
 }
 
 void worker_loop(const std::shared_ptr<SweepState>& state) {
@@ -351,7 +343,7 @@ Metrics build_metrics(SweepState& state) {
           Type::kCounter, static_cast<double>(reuse_fallbacks));
 
     // Marking-store shape of the peak-resident exploration — the
-    // capacity-tier surface (table vs arena split, load factor, layout).
+    // capacity-tier surface (table vs arena split, load factor).
     if (peak_store) {
         m.set("rap_store_slots",
               "Hash-table slots of the peak-resident exploration's store",
@@ -365,10 +357,6 @@ Metrics build_metrics(SweepState& state) {
         m.set("rap_store_arena_bytes",
               "Record-arena bytes of the peak-resident exploration's store",
               Type::kGauge, static_cast<double>(peak_store->arena_bytes));
-        m.set("rap_store_compact",
-              "1 when the peak-resident exploration used the compact "
-              "(id-less) interning layout",
-              Type::kGauge, peak_store->compact ? 1.0 : 0.0);
     }
 
     // Partial-order reduction aggregates across completed rows. The
@@ -525,11 +513,6 @@ Sweep& Sweep::workers(std::size_t count) {
     return *this;
 }
 
-Sweep& Sweep::max_in_flight(std::size_t count) {
-    max_in_flight_ = count;
-    return *this;
-}
-
 Sweep& Sweep::per_config_timeout(double seconds) {
     timeout_s_ = seconds;
     return *this;
@@ -578,11 +561,8 @@ Sweep::Handle::~Handle() {
 }
 
 void Sweep::Handle::cancel() {
-    {
-        const std::lock_guard<std::mutex> lock(state_->mutex);
-        state_->cancelled.store(true, std::memory_order_relaxed);
-    }
-    state_->gate.notify_all();
+    const std::lock_guard<std::mutex> lock(state_->mutex);
+    state_->cancelled.store(true, std::memory_order_relaxed);
 }
 
 bool Sweep::Handle::cancelled() const {
@@ -655,8 +635,6 @@ Sweep::Handle Sweep::launch() {
     const std::size_t schedulable =
         shared_store_ ? state->chains.size() : state->grid.size();
     workers = std::max<std::size_t>(1, std::min(workers, schedulable));
-    state->max_in_flight =
-        max_in_flight_ > 0 ? std::min(max_in_flight_, workers) : workers;
 
     state->results.resize(state->grid.size());
     // Pre-fill every slot's point so cancelled-before-start rows still

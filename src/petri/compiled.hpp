@@ -141,14 +141,12 @@ private:
 };
 
 /// Interning-table geometry of one store, for capacity planning and the
-/// rap_store_* metrics: how many slots the dedup table holds, how its
-/// bytes split against the record arena, and whether the compact layout
-/// is active.
+/// rap_store_* metrics: how many slots the dedup table holds and how its
+/// bytes split against the record blocks.
 struct StoreStats {
-    bool compact = false;       ///< id-indexed compact layout in use
     std::size_t records = 0;    ///< interned markings
     std::size_t slots = 0;      ///< dedup-table capacity (slots)
-    std::size_t table_bytes = 0;  ///< table + any id->record index
+    std::size_t table_bytes = 0;  ///< dedup table
     std::size_t arena_bytes = 0;  ///< record payload blocks
     double load_factor() const noexcept {
         return slots == 0 ? 0.0

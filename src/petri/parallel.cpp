@@ -12,6 +12,7 @@
 
 #include "petri/checkpoint.hpp"
 #include "petri/reuse.hpp"
+#include "util/arena.hpp"
 #include "util/steal_deque.hpp"
 
 namespace rap::petri {
@@ -51,41 +52,21 @@ void spin_pause(unsigned round) noexcept {
 // ------------------------------------------- ConcurrentMarkingStore --
 
 ConcurrentMarkingStore::ConcurrentMarkingStore(std::size_t marking_words,
-                                               std::size_t meta_words,
-                                               std::size_t workers,
-                                               bool compact)
+                                               std::size_t meta_words)
     : words_(std::max<std::size_t>(marking_words, 1)),
       record_words_(words_ + meta_words),
-      compact_(compact),
       table_size_(std::size_t{1} << 12),
       table_(std::make_unique<std::atomic<std::uint64_t>[]>(table_size_)) {
     for (std::size_t i = 0; i < table_size_; ++i) {
         table_[i].store(kEmptySlot, std::memory_order_relaxed);
     }
-    if (compact_) {
-        // Power-of-two records per block so the id->record map is a
-        // shift+mask; ~128K-word blocks, like the legacy arenas.
-        const std::size_t rpb = std::bit_floor(std::max<std::size_t>(
-            (std::size_t{1} << 14) / record_words_, 1));
-        cshift_ = static_cast<std::size_t>(std::bit_width(rpb) - 1);
-        cmask_ = static_cast<std::uint32_t>(rpb - 1);
-        return;  // no per-worker arenas: ids index the shared blocks
-    }
-    arenas_.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-        // Mid-sized blocks: N workers each strand ~half a block, so the
-        // default 512K-word blocks would cost small models more than
-        // the records themselves; 128K keeps the waste a few percent
-        // while still amortising allocation at 19M records.
-        arenas_.emplace_back(record_words_, std::size_t{1} << 14);
-    }
-}
-
-void ConcurrentMarkingStore::ensure_workers(std::size_t workers) {
-    if (compact_) return;  // workers share the id-indexed blocks
-    while (arenas_.size() < workers) {
-        arenas_.emplace_back(record_words_, std::size_t{1} << 14);
-    }
+    // Power-of-two records per block so the id->record map is a
+    // shift+mask; ~128K-word blocks amortise allocation at 19M records
+    // while stranding little of a small model's last block.
+    const std::size_t rpb = std::bit_floor(std::max<std::size_t>(
+        (std::size_t{1} << 14) / record_words_, 1));
+    shift_ = static_cast<std::size_t>(std::bit_width(rpb) - 1);
+    mask_ = static_cast<std::uint32_t>(rpb - 1);
 }
 
 std::size_t ConcurrentMarkingStore::size() const noexcept {
@@ -100,9 +81,8 @@ std::uint64_t ConcurrentMarkingStore::hash(const std::uint64_t* words)
 }
 
 ConcurrentMarkingStore::InternResult ConcurrentMarkingStore::intern(
-    const std::uint64_t* words, std::size_t worker,
-    std::size_t capacity_limit, const std::uint64_t* meta_init,
-    std::size_t meta_init_words) {
+    const std::uint64_t* words, std::size_t capacity_limit,
+    const std::uint64_t* meta_init, std::size_t meta_init_words) {
     const std::size_t mask = table_size_ - 1;
     const std::uint64_t h = hash(words);
     const std::uint64_t fragment = h & 0xFFFFFFFF00000000ULL;
@@ -126,23 +106,15 @@ ConcurrentMarkingStore::InternResult ConcurrentMarkingStore::intern(
                                    std::memory_order_release);
                 return {kNone, false};
             }
-            std::uint64_t* record;
-            if (compact_) {
-                // The id doubles as the arena position; the block was
-                // zero-provisioned by the last serial reserve, so the
-                // meta words beyond meta_init start zeroed exactly like
-                // a push_zero record.
-                record = compact_record(id);
-            } else {
-                util::WordArena& arena = arenas_[worker];
-                record = arena[arena.push_zero()];
-            }
-            copy_words(record, words, words_);
+            // The id is the record's position; its block was
+            // zero-provisioned by the last serial reserve, so the meta
+            // words beyond meta_init start zeroed.
+            std::uint64_t* rec = record(id);
+            copy_words(rec, words, words_);
             // Pre-publication meta (the canonical-min witness link and
             // depth): racing readers that learn the id below must never
             // see it uninitialised.
-            copy_words(record + words_, meta_init, meta_init_words);
-            if (!compact_) records_[id] = record;
+            copy_words(rec + words_, meta_init, meta_init_words);
             table_[slot].store(pack(h, id), std::memory_order_release);
             return {id, true};
         }
@@ -155,7 +127,7 @@ ConcurrentMarkingStore::InternResult ConcurrentMarkingStore::intern(
                 spin_pause(spins++);
                 continue;
             }
-            if (std::memcmp((*this)[entry_id], words,
+            if (std::memcmp(record(entry_id), words,
                             words_ * sizeof(std::uint64_t)) == 0) {
                 return {entry_id, false};
             }
@@ -179,7 +151,7 @@ std::uint32_t ConcurrentMarkingStore::find(
         // before the cap was hit can live beyond them, so skip past.
         if (entry_id != kCapacityId && entry_id != kPendingId &&
             (entry & 0xFFFFFFFF00000000ULL) == fragment &&
-            std::memcmp((*this)[entry_id], words,
+            std::memcmp(record(entry_id), words,
                         words_ * sizeof(std::uint64_t)) == 0) {
             return entry_id;
         }
@@ -188,26 +160,15 @@ std::uint32_t ConcurrentMarkingStore::find(
 }
 
 void ConcurrentMarkingStore::reserve(std::size_t needed) {
-    if (compact_) {
-        // Zero-provision blocks covering `needed`: make_unique
-        // value-initialises, so a winner's record slot starts zeroed.
-        const std::size_t rpb = std::size_t{cmask_} + 1;
-        while (creserved_ < needed) {
-            cblocks_.push_back(std::make_unique<std::uint64_t[]>(
-                rpb * record_words_));
-            creserved_ += rpb;
-        }
-    } else if (records_.size() < needed) {
-        records_.resize(needed, nullptr);
+    // make_unique value-initialises: a winner's record starts zeroed.
+    const std::size_t rpb = std::size_t{mask_} + 1;
+    while (reserved_ < needed) {
+        blocks_.push_back(
+            std::make_unique<std::uint64_t[]>(rpb * record_words_));
+        reserved_ += rpb;
     }
     std::size_t want = table_size_;
-    if (compact_) {
-        // 7/8 ceiling: the probe footprint the compact slots buy back
-        // funds a denser table (see the class comment).
-        while (needed * 8 >= want * 7) want *= 2;
-    } else {
-        while (needed * 10 >= want * 7) want *= 2;
-    }
+    while (needed * 8 >= want * 7) want *= 2;
     if (want == table_size_) return;
     auto table = std::make_unique<std::atomic<std::uint64_t>[]>(want);
     for (std::size_t i = 0; i < want; ++i) {
@@ -216,7 +177,7 @@ void ConcurrentMarkingStore::reserve(std::size_t needed) {
     const std::size_t mask = want - 1;
     const std::size_t count = count_.load(std::memory_order_acquire);
     for (std::uint32_t id = 0; id < count; ++id) {
-        const std::uint64_t h = hash((*this)[id]);
+        const std::uint64_t h = hash(record(id));
         std::size_t slot = static_cast<std::size_t>(h) & mask;
         while (table[slot].load(std::memory_order_relaxed) != kEmptySlot) {
             slot = (slot + 1) & mask;
@@ -228,30 +189,19 @@ void ConcurrentMarkingStore::reserve(std::size_t needed) {
 }
 
 std::size_t ConcurrentMarkingStore::record_bytes() const noexcept {
-    if (compact_) {
-        return cblocks_.size() * (std::size_t{cmask_} + 1) *
-               record_words_ * sizeof(std::uint64_t);
-    }
-    std::size_t bytes = 0;
-    for (const util::WordArena& arena : arenas_) {
-        bytes += arena.resident_bytes();
-    }
-    return bytes;
+    return reserved_ * record_words_ * sizeof(std::uint64_t);
 }
 
 std::size_t ConcurrentMarkingStore::resident_bytes() const noexcept {
     return record_bytes() + table_size_ * sizeof(std::uint64_t) +
-           records_.capacity() * sizeof(std::uint64_t*) +
-           cblocks_.capacity() * sizeof(void*);
+           blocks_.capacity() * sizeof(void*);
 }
 
 StoreStats ConcurrentMarkingStore::stats() const noexcept {
     StoreStats s;
-    s.compact = compact_;
     s.records = size();
     s.slots = table_size_;
-    s.table_bytes = table_size_ * sizeof(std::uint64_t) +
-                    records_.capacity() * sizeof(std::uint64_t*);
+    s.table_bytes = table_size_ * sizeof(std::uint64_t);
     s.arena_bytes = record_bytes();
     return s;
 }
@@ -317,11 +267,9 @@ public:
                  !query.check_persistence && !por_->proviso_needed()),
           maintain_tree_(!query.goals.empty() || query.check_persistence),
           meta_words_(maintain_tree_ || por_.has_value() ? kMetaWords : 0),
-          erec_off_(mwords_ + kMetaWords),
           store_(reuse != nullptr
                      ? reuse->store()
-                     : owned_store_.emplace(mwords_, meta_words_, workers,
-                                            options.compact_store)),
+                     : owned_store_.emplace(mwords_, meta_words_)),
           checkpoint_path_(options.checkpoint_path),
           save_every_states_(options.checkpoint_every != 0
                                  ? options.checkpoint_every
@@ -567,10 +515,9 @@ private:
     /// structure; losers treat the state exactly like a scratch
     /// duplicate. ctx.child holds the successor marking on entry.
     bool reuse_edge(std::uint32_t head, TransitionId t,
-                    const std::uint64_t* parent_row, std::size_t w,
-                    WorkerCtx& ctx, bool& fresh_seen) {
-        const auto interned =
-            store_.intern(ctx.child.data(), w, provision_cap_, nullptr, 0);
+                    const std::uint64_t* parent_row, WorkerCtx& ctx,
+                    bool& fresh_seen) {
+        const auto interned = store_.intern(ctx.child.data(), provision_cap_);
         if (interned.id == ConcurrentMarkingStore::kNone) {
             // Physical exhaustion: provisioning capped this layer's
             // inserts at the remaining claim budget, and every inserted
@@ -581,7 +528,8 @@ private:
             abort_now_.store(true, std::memory_order_release);
             return false;
         }
-        std::atomic<std::uint64_t>& cl = reuse_->claim(interned.id);
+        std::uint64_t* record = store_.record_mut(interned.id);
+        const std::atomic_ref<std::uint64_t> cl = reuse_->claim(record);
         const std::uint64_t pending =
             (epoch_ << 32) | ReuseStore::kPendingDepth;
         std::uint64_t cur = cl.load(std::memory_order_acquire);
@@ -604,17 +552,16 @@ private:
                 abort_now_.store(true, std::memory_order_release);
                 return false;
             }
-            std::uint64_t* record = store_.record_mut(interned.id);
             // Atomic because same-layer losers may CAS the link
             // concurrently once the claim publishes below.
             std::atomic_ref<std::uint64_t>(record[mwords_])
                 .store((std::uint64_t{t.value} << 32) | head,
                        std::memory_order_relaxed);
-            std::uint64_t* row = record + erec_off_;
-            if (!reuse_->row_valid(interned.id)) {
+            // On success the CAS left the replaced claim in `cur`.
+            std::uint64_t* row = reuse_->row(record);
+            if (!reuse_->row_valid(cur)) {
                 copy_words(row, parent_row, twords_);
                 compiled_.update_enabled(ctx.child.data(), t, row);
-                reuse_->set_row_valid(interned.id);
             }
             cl.store((epoch_ << 32) | (depth_ + 1),
                      std::memory_order_release);
@@ -646,7 +593,7 @@ private:
     }
 
     void expand(std::uint32_t head, const std::uint64_t* enabled,
-                std::size_t w, WorkerCtx& ctx) {
+                WorkerCtx& ctx) {
         const std::uint64_t* marking = marking_of(head);
 
         // Reduction decision first — deterministic in (marking, enabled),
@@ -730,12 +677,12 @@ private:
             }
 
             if (reuse_ != nullptr) {
-                return reuse_edge(head, t, enabled, w, ctx, fresh_seen);
+                return reuse_edge(head, t, enabled, ctx, fresh_seen);
             }
 
             const std::uint64_t meta_init[kMetaWords] = {
                 (std::uint64_t{t.value} << 32) | head, depth_ + 1};
-            const auto interned = store_.intern(ctx.child.data(), w, cap_,
+            const auto interned = store_.intern(ctx.child.data(), cap_,
                                                 meta_init, meta_words_);
             if (interned.id == ConcurrentMarkingStore::kNone) {
                 truncated_.store(true, std::memory_order_relaxed);
@@ -814,13 +761,13 @@ private:
         }
     }
 
-    void run_chunk(std::uint64_t task, std::size_t w, WorkerCtx& ctx) {
+    void run_chunk(std::uint64_t task, WorkerCtx& ctx) {
         const auto begin = static_cast<std::size_t>(task >> 32);
         const auto end =
             static_cast<std::size_t>(static_cast<std::uint32_t>(task));
         for (std::size_t i = begin; i < end; ++i) {
             if (abort_now_.load(std::memory_order_relaxed)) return;
-            expand(frontier_[i], frontier_rows_[i], w, ctx);
+            expand(frontier_[i], frontier_rows_[i], ctx);
         }
     }
 
@@ -836,14 +783,14 @@ private:
             if (abort_now_.load(std::memory_order_relaxed)) return;
             if (deques_[w].pop(task)) {
                 idle = 0;
-                run_chunk(task, w, ctx);
+                run_chunk(task, ctx);
                 continue;
             }
             bool ran = false;
             for (std::size_t k = 1; k < workers_; ++k) {
                 if (deques_[(w + k) % workers_].steal(task)) {
                     ran = true;
-                    run_chunk(task, w, ctx);
+                    run_chunk(task, ctx);
                     break;
                 }
             }
@@ -894,7 +841,7 @@ private:
     }
 
     /// Bytes resident right now, sampled at layer boundaries for
-    /// memory_stats(): records + table + id index, the live enabled-row
+    /// memory_stats(): record blocks + table, the live enabled-row
     /// arenas, and the frontier bookkeeping.
     std::size_t resident_now() const {
         std::size_t bytes = store_.resident_bytes();
@@ -983,8 +930,8 @@ private:
         store_.reserve(static_cast<std::size_t>(ckpt.record_count));
         for (std::uint64_t id = 0; id < ckpt.record_count; ++id) {
             const std::uint64_t* rec = ckpt.record(id);
-            const auto interned = store_.intern(rec, 0, cap_, rec + mwords_,
-                                                meta_words_);
+            const auto interned =
+                store_.intern(rec, cap_, rec + mwords_, meta_words_);
             if (!interned.inserted || interned.id != id) {
                 throw std::runtime_error(
                     "resume: checkpoint records are not unique dense-id "
@@ -1054,7 +1001,6 @@ private:
         const std::size_t budget_left = cap_ - std::min(cap_, claimed);
         provision_cap_ = store_.size() + std::min(out_edges, budget_left);
         store_.reserve(provision_cap_);
-        reuse_->ensure_capacity(provision_cap_);
     }
 
     /// Serial between-layers step, run by the barrier's completion while
@@ -1209,7 +1155,6 @@ private:
     static constexpr std::size_t kMetaWords = 2;
     const std::size_t meta_words_;
     static constexpr std::size_t kDefaultCheckpointEvery = 65536;
-    const std::size_t erec_off_;  ///< in-record enabled offset (reuse)
 
     /// The pass's private store (scratch mode); reuse passes bind store_
     /// to the ReuseStore's shared one instead.
@@ -1268,25 +1213,21 @@ MultiResult ParallelPass::run() {
         epoch_ = reuse_->begin_pass();
         provision_cap_ = store_.size() + 1;
         store_.reserve(provision_cap_);
-        reuse_->ensure_capacity(provision_cap_);
-        const auto root = store_.intern(ctx_[0].child.data(), 0,
-                                        provision_cap_, nullptr, 0);
-        root_id = root.id;
+        root_id = store_.intern(ctx_[0].child.data(), provision_cap_).id;
         pass_claims_.store(1, std::memory_order_relaxed);
-        reuse_->claim(root_id).store(epoch_ << 32,
-                                     std::memory_order_relaxed);
         std::uint64_t* record = store_.record_mut(root_id);
+        const std::uint64_t prior = reuse_->claim(record).exchange(
+            epoch_ << 32, std::memory_order_relaxed);
         record[mwords_] = std::uint64_t{ConcurrentMarkingStore::kNone};
-        root_enabled = record + erec_off_;
-        if (!reuse_->row_valid(root_id)) {
+        root_enabled = reuse_->row(record);
+        if (!reuse_->row_valid(prior)) {
             compiled_.enabled_set(record, root_enabled);
-            reuse_->set_row_valid(root_id);
         }
     } else {
         store_.reserve(std::min<std::size_t>(1, cap_));
         const std::uint64_t root_meta[kMetaWords] = {
             std::uint64_t{ConcurrentMarkingStore::kNone}, 0};
-        const auto root = store_.intern(ctx_[0].child.data(), 0, cap_,
+        const auto root = store_.intern(ctx_[0].child.data(), cap_,
                                         root_meta, meta_words_);
         root_id = root.id;
         util::WordArena& arena = ctx_[0].earena[1 - write_parity_];
@@ -1492,7 +1433,7 @@ MultiResult ParallelReachabilityExplorer::run_query(
     // A store whose dimensions don't match this net falls back to a
     // scratch pass.
     ReuseStore* reuse = nullptr;
-    if (options_.reuse && options_.reuse->attach(*compiled_, threads_)) {
+    if (options_.reuse && options_.reuse->attach(*compiled_)) {
         reuse = options_.reuse.get();
     }
     ParallelPass pass(net_, *compiled_, options_, query, threads_, reuse);

@@ -28,7 +28,7 @@ struct Trace {
 };
 
 /// Options of one ParallelReachabilityExplorer pass (petri/parallel.hpp).
-/// Results do not depend on `threads`, `compact_store` or `reuse`.
+/// Results do not depend on `threads` or `reuse`.
 struct ReachabilityOptions {
     /// Exploration stops (with `truncated = true`) beyond this many states.
     std::size_t max_states = 2'000'000;
@@ -76,13 +76,6 @@ struct ReachabilityOptions {
     /// visible. Passes sharing one ReuseStore must be externally
     /// sequenced.
     std::shared_ptr<ReuseStore> reuse;
-    /// Compact interning layout (the 100M-state capacity tier): records
-    /// at arena positions derived from their dense id, dropping the
-    /// legacy id->record pointer index and a quarter of the slot
-    /// head-room (see ConcurrentMarkingStore/StoreStats). Exploration
-    /// results are bit-identical to the default layout. Ignored by reused
-    /// passes — the attached ReuseStore owns its own (legacy) table.
-    bool compact_store = false;
     /// When non-empty, the exploration periodically serializes a
     /// petri::StoreCheckpoint here (atomically: tmp file + rename) so a
     /// killed pass can resume instead of rerunning from t=0. Written in
@@ -110,14 +103,14 @@ struct ReachabilityOptions {
 struct MemoryStats {
     std::size_t records = 0;        ///< interned markings
     std::size_t record_bytes = 0;   ///< arena-resident record payloads
-    /// Records + interning table + id index + frontier bookkeeping, at
+    /// Record blocks + interning table + frontier bookkeeping, at
     /// the end of the pass (the enabled-row cache dies with the last
     /// layer, so only peak_bytes counts it).
     std::size_t resident_bytes = 0;
     /// Max resident over the pass, sampled at every layer boundary with
     /// the live enabled-row cache included.
     std::size_t peak_bytes = 0;
-    /// Interning-table geometry (layout, slots, load factor, table vs
+    /// Interning-table geometry (slots, load factor, table vs
     /// arena byte split) — the rap_store_* metrics source.
     StoreStats store;
 };

@@ -1,48 +1,28 @@
 #include "petri/reuse.hpp"
 
-#include <algorithm>
-
 namespace rap::petri {
 
-bool ReuseStore::attach(const CompiledNet& compiled, std::size_t workers) {
+bool ReuseStore::attach(const CompiledNet& compiled) {
     const std::size_t mwords = compiled.marking_words();
     const std::size_t twords = compiled.enabled_words();
-    const std::size_t want_workers = std::max<std::size_t>(workers, 1);
     if (!store_) {
         mwords_ = mwords;
         twords_ = twords;
         digest_ = compiled.structure_digest();
-        // Layout: marking + two witness meta words + the enabled row.
-        store_.emplace(mwords_, 2 + twords_, want_workers);
+        // Layout: marking + link + claim words + the enabled row.
+        store_.emplace(mwords_, 2 + twords_);
         return true;
     }
     if (mwords != mwords_ || twords != twords_) {
         ++fallbacks_;
         return false;
     }
-    store_->ensure_workers(want_workers);
     if (compiled.structure_digest() != digest_) {
         digest_ = compiled.structure_digest();
-        ++geometry_rev_;
+        rows_epoch_ = std::uint64_t{epoch_} + 1;  // the next pass
         ++invalidations_;
     }
     return true;
-}
-
-void ReuseStore::ensure_capacity(std::size_t n) {
-    if (n <= claim_cap_) return;
-    std::size_t cap = std::max<std::size_t>(claim_cap_ * 2, 1024);
-    cap = std::max(cap, n);
-    // make_unique value-initialises: fresh claims read epoch 0, which
-    // begin_pass() never returns — never-claimed is the natural default.
-    auto claims = std::make_unique<std::atomic<std::uint64_t>[]>(cap);
-    for (std::size_t i = 0; i < claim_cap_; ++i) {
-        claims[i].store(claims_[i].load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    }
-    claims_ = std::move(claims);
-    row_rev_.resize(cap, 0);  // revision 0 is always stale
-    claim_cap_ = cap;
 }
 
 }  // namespace rap::petri

@@ -54,7 +54,6 @@ petri::MultiResult Verifier::run_exploration(const petri::MultiQuery& query,
     ropts.por = options_.por;
     ropts.stop = options_.stop;
     ropts.reuse = options_.reuse;
-    ropts.compact_store = options_.compact_store;
     ropts.checkpoint_path = options_.checkpoint_path;
     ropts.checkpoint_every = options_.checkpoint_every;
     ropts.resume = options_.resume;

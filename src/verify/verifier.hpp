@@ -90,11 +90,6 @@ struct VerifyOptions {
     /// reuse_fallbacks()). The same store must not be used by two
     /// explorations concurrently.
     std::shared_ptr<petri::ReuseStore> reuse;
-    /// Compact interning layout (petri::ReachabilityOptions::
-    /// compact_store): drops the id->record index and a quarter of the
-    /// table head-room for ~30% less non-record overhead per state.
-    /// Verdicts, witnesses and counters are bit-identical either way.
-    bool compact_store = false;
     /// Periodic checkpointing (petri::ReachabilityOptions::
     /// checkpoint_path): when non-empty, every exploration this verifier
     /// runs serializes resume points there. See the engine option for

@@ -61,6 +61,29 @@ TEST(Campaign, RejectsBadConfiguration) {
     EXPECT_THROW(campaign.time_budget_factor(0.0), std::invalid_argument);
 }
 
+TEST(Campaign, RejectsFaultConfigsAtTheSetter) {
+    // A negative fault scale or an inverted droop-duration range used to
+    // be accepted here and then throw inside a pool worker, terminating
+    // the process. The setters reject them and leave the campaign as it
+    // was, so it still runs.
+    Campaign campaign = Campaign::ope(3).depths({3}).runs(2).items(4);
+    EXPECT_THROW(campaign.fault_scales({-1.0}), std::invalid_argument);
+    EXPECT_THROW(campaign.fault_scales({1.0, -0.5}), std::invalid_argument);
+    asim::FaultSpec inverted;
+    inverted.glitch.rate_hz = 1e6;
+    inverted.glitch.droop_v = 0.4;
+    inverted.glitch.min_duration_s = 5e-8;
+    inverted.glitch.max_duration_s = 1e-8;
+    EXPECT_THROW(campaign.base_faults(inverted), std::invalid_argument);
+    inverted.glitch.min_duration_s = -1e-8;
+    EXPECT_THROW(campaign.base_faults(inverted), std::invalid_argument);
+
+    const CampaignSummary summary = campaign.run();
+    ASSERT_EQ(summary.rows.size(), 1u);
+    EXPECT_EQ(summary.rows[0].runs, 2u);
+    EXPECT_EQ(summary.rows[0].completed, 2u);
+}
+
 // The seeding contract: the full result set — every per-point checksum
 // and the campaign checksum — is bit-identical at any worker count.
 TEST(Campaign, BitReproducibleAcrossWorkerCounts) {

@@ -79,22 +79,16 @@ TEST(Checkpoint, SequentialKillAndResumeMatchesUninterrupted) {
     ASSERT_GT(ckpt->record_count, 0u);
     ASSERT_LT(ckpt->record_count, reference.states_explored);
 
-    // Resume under both table layouts: dense discovery-order ids make
-    // the checkpoint layout-independent, so a legacy-layout checkpoint
-    // must continue identically in a compact-store pass and vice versa.
+    // Dense discovery-order ids make the checkpoint independent of the
+    // thread count that wrote it.
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        for (const bool compact : {false, true}) {
-            ReachabilityOptions resume = base;
-            resume.resume = ckpt;
-            resume.compact_store = compact;
-            resume.threads = threads;
-            ParallelReachabilityExplorer resumed(compiled, resume);
-            const auto result = resumed.run_query(bundle.query);
-            expect_identical(
-                fixture.net, reference, result,
-                std::string("resume @") + std::to_string(threads) + "t, " +
-                    (compact ? "compact" : "legacy") + " layout");
-        }
+        ReachabilityOptions resume = base;
+        resume.resume = ckpt;
+        resume.threads = threads;
+        ParallelReachabilityExplorer resumed(compiled, resume);
+        const auto result = resumed.run_query(bundle.query);
+        expect_identical(fixture.net, reference, result,
+                         "resume @" + std::to_string(threads) + "t");
     }
 }
 
@@ -124,16 +118,11 @@ TEST(Checkpoint, ParallelKillAndResumeMatchesUninterrupted) {
         StoreCheckpoint::load(path));
     ASSERT_GT(ckpt->record_count, 0u);
 
-    for (const bool compact : {false, true}) {
-        ReachabilityOptions resume = base;
-        resume.resume = ckpt;
-        resume.compact_store = compact;
-        ParallelReachabilityExplorer resumed(compiled, resume);
-        const auto result = resumed.run_query(bundle.query);
-        expect_identical(fixture.net, reference, result,
-                         std::string("parallel resume, ") +
-                             (compact ? "compact" : "legacy") + " layout");
-    }
+    ReachabilityOptions resume = base;
+    resume.resume = ckpt;
+    ParallelReachabilityExplorer resumed(compiled, resume);
+    const auto result = resumed.run_query(bundle.query);
+    expect_identical(fixture.net, reference, result, "parallel resume");
 }
 
 TEST(Checkpoint, ResumedPassKeepsCheckpointingToTheNextFile) {

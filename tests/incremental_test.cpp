@@ -159,6 +159,42 @@ TEST(Incremental, TruncationStaysExactOnWarmStores) {
                      "full pass after truncated passes");
 }
 
+TEST(Incremental, ReuseStoreHasNoIdIndexAndGrowsIdentically) {
+    // The shared store is the one id-indexed layout: its table bytes are
+    // the dedup slots alone (no id->record index beside them), and its
+    // claim words live in the records, so a pass that grows the store
+    // across many layers and record blocks still answers exactly like
+    // scratch.
+    const auto reuse = std::make_shared<ReuseStore>();
+    std::size_t first_pass_records = 0;
+    for (int depth = 1; depth <= 3; ++depth) {
+        const Net net = depth_net(3, depth);
+        const CompiledNet compiled(net);
+        const QueryBundle bundle(net);
+        const std::string context = "grow d" + std::to_string(depth);
+
+        ReachabilityOptions scratch;
+        scratch.stop_at_first_match = false;
+        scratch.threads = 4;
+        const auto reference =
+            ParallelReachabilityExplorer(compiled, scratch)
+                .run_query(bundle.query);
+        ReachabilityOptions incremental = scratch;
+        incremental.reuse = reuse;
+        const auto result = ParallelReachabilityExplorer(compiled, incremental)
+                                .run_query(bundle.query);
+        expect_identical(net, reference, result, context);
+
+        const StoreStats& store = result.memory.store;
+        EXPECT_EQ(store.table_bytes, store.slots * sizeof(std::uint64_t))
+            << context;
+        EXPECT_EQ(store.records, reuse->interned_markings()) << context;
+        if (depth == 1) first_pass_records = store.records;
+    }
+    EXPECT_GT(reuse->interned_markings(), first_pass_records)
+        << "later depths must grow the shared store";
+}
+
 // ----------------------------------------------------- attach contract --
 
 TEST(Incremental, AttachInvalidatesRowsOnStructureChangeOnly) {
@@ -186,11 +222,9 @@ TEST(Incremental, AttachInvalidatesRowsOnStructureChangeOnly) {
               CompiledNet::digest_structure(b));
 
     const auto reuse = std::make_shared<ReuseStore>();
-    ASSERT_TRUE(reuse->attach(ca, 1));
-    const std::uint64_t rev = reuse->geometry_rev();
-    EXPECT_TRUE(reuse->attach(ca, 1));
-    EXPECT_EQ(reuse->geometry_rev(), rev) << "same digest: no bump";
-    EXPECT_EQ(reuse->row_invalidations(), 0u);
+    ASSERT_TRUE(reuse->attach(ca));
+    EXPECT_TRUE(reuse->attach(ca));
+    EXPECT_EQ(reuse->row_invalidations(), 0u) << "same digest: no bump";
 
     // Warm the store on `a`, then re-attach and run on `b`: stale rows
     // must never leak into b's pass.
@@ -200,8 +234,7 @@ TEST(Incremental, AttachInvalidatesRowsOnStructureChangeOnly) {
     ParallelReachabilityExplorer(ca, incremental)
         .run_query(QueryBundle(a).query);
 
-    EXPECT_TRUE(reuse->attach(cb, 1));
-    EXPECT_GT(reuse->geometry_rev(), rev);
+    EXPECT_TRUE(reuse->attach(cb));
     EXPECT_EQ(reuse->row_invalidations(), 1u);
 
     ReachabilityOptions scratch;
@@ -241,7 +274,7 @@ TEST(Incremental, DimensionMismatchFallsBackToScratch) {
     }
     const CompiledNet cwide(wide);
     ASSERT_NE(cwide.marking_words(), mwords);
-    EXPECT_FALSE(reuse->attach(cwide, 1));
+    EXPECT_FALSE(reuse->attach(cwide));
 
     ReachabilityOptions options;
     options.stop_at_first_match = false;

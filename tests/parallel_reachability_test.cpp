@@ -38,11 +38,10 @@ using namespace testfx;  // model zoo + differential plumbing
 constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
 
 MultiResult run_full(const CompiledNet& compiled, const MultiQuery& query,
-                     std::size_t threads, bool compact = false) {
+                     std::size_t threads) {
     ReachabilityOptions options;
     options.stop_at_first_match = false;
     options.threads = threads;
-    options.compact_store = compact;
     return ParallelReachabilityExplorer(compiled, options).run_query(query);
 }
 
@@ -52,42 +51,27 @@ std::string at(const std::string& name, std::size_t threads) {
 
 // -------------------------------------------------------- differential --
 
-TEST(ParallelReachability, DifferentialAgainstSequentialOnEveryFixture) {
+// One ctest case per zoo fixture, so the oracle BFS of the biggest model
+// (the 842k-state wagging stage) cannot push the whole zoo past a slow
+// build's per-test timeout.
+class ParallelReachabilityZoo : public ::testing::TestWithParam<Fixture> {};
+
+TEST_P(ParallelReachabilityZoo, DifferentialAgainstSequential) {
     // The sequential reference is the std::set BFS oracle: every full
     // pass must match it exactly at every thread count.
-    for (const Fixture& fixture : all_fixtures()) {
-        const CompiledNet compiled(fixture.net);
-        const QueryBundle bundle(fixture.net);
-        const oracle::Result reference = oracle_for(fixture.net, bundle.query);
-        for (const std::size_t threads : kThreadCounts) {
-            expect_matches_oracle(fixture.net, reference,
-                                  run_full(compiled, bundle.query, threads),
-                                  at(fixture.name, threads));
-        }
+    const Fixture& fixture = GetParam();
+    const CompiledNet compiled(fixture.net);
+    const QueryBundle bundle(fixture.net);
+    const oracle::Result reference = oracle_for(fixture.net, bundle.query);
+    for (const std::size_t threads : kThreadCounts) {
+        expect_matches_oracle(fixture.net, reference,
+                              run_full(compiled, bundle.query, threads),
+                              at(fixture.name, threads));
     }
 }
 
-TEST(CompactStore, DifferentialZooAcrossThreadCounts) {
-    // The capacity-tier layout: records at id-derived arena positions,
-    // no id->record index. Results must be identical to the legacy
-    // layout at 1 thread (itself checked against the oracle above) on
-    // the whole zoo at every thread count, down to the witness traces —
-    // the layout changes where records live, never what gets explored.
-    for (const Fixture& fixture : all_fixtures()) {
-        const CompiledNet compiled(fixture.net);
-        const QueryBundle bundle(fixture.net);
-        const auto legacy = run_full(compiled, bundle.query, 1);
-        EXPECT_FALSE(legacy.truncated) << fixture.name;
-        EXPECT_FALSE(legacy.memory.store.compact) << fixture.name;
-        for (const std::size_t threads : kThreadCounts) {
-            const auto compact =
-                run_full(compiled, bundle.query, threads, true);
-            const std::string context = at(fixture.name + " compact", threads);
-            expect_identical(fixture.net, legacy, compact, context);
-            EXPECT_TRUE(compact.memory.store.compact) << context;
-        }
-    }
-}
+INSTANTIATE_TEST_SUITE_P(EveryFixture, ParallelReachabilityZoo,
+                         ::testing::ValuesIn(all_fixtures()));
 
 TEST(ParallelReachability, RandomizedDifferentialFuzzer) {
     // 24 seeded random models across three topology classes (rings with
@@ -428,21 +412,21 @@ TEST(MemoryDiet, ReducedPassAccountsRowsAtAmpleWidth) {
 // ------------------------------------------- concurrent interning table --
 
 TEST(ConcurrentMarkingStore, InternsDedupesAndEnforcesCapacity) {
-    ConcurrentMarkingStore store(2, 1, 1);
+    ConcurrentMarkingStore store(2, 1);
     store.reserve(2);
     const std::uint64_t a[2] = {1, 2};
     const std::uint64_t b[2] = {3, 4};
-    const auto ra = store.intern(a, 0, 2);
+    const auto ra = store.intern(a, 2);
     EXPECT_TRUE(ra.inserted);
     EXPECT_EQ(ra.id, 0u);
-    const auto ra2 = store.intern(a, 0, 2);
+    const auto ra2 = store.intern(a, 2);
     EXPECT_FALSE(ra2.inserted);
     EXPECT_EQ(ra2.id, 0u);
-    const auto rb = store.intern(b, 0, 2);
+    const auto rb = store.intern(b, 2);
     EXPECT_TRUE(rb.inserted);
     EXPECT_EQ(rb.id, 1u);
     const std::uint64_t c[2] = {5, 6};
-    const auto rc = store.intern(c, 0, 2);  // over capacity
+    const auto rc = store.intern(c, 2);  // over capacity
     EXPECT_FALSE(rc.inserted);
     EXPECT_EQ(rc.id, ConcurrentMarkingStore::kNone);
     EXPECT_EQ(store.size(), 2u);
@@ -457,15 +441,15 @@ TEST(ConcurrentMarkingStore, InternsDedupesAndEnforcesCapacity) {
 TEST(ConcurrentMarkingStore, SurvivesGrowthRehash) {
     // Serial reserve between inserts doubles the table several times;
     // every id must survive each rehash.
-    ConcurrentMarkingStore store(1, 0, 1);
+    ConcurrentMarkingStore store(1, 0);
     for (std::uint64_t i = 0; i < 5000; ++i) {
         store.reserve(i + 1);
-        const auto r = store.intern(&i, 0, SIZE_MAX);
+        const auto r = store.intern(&i, SIZE_MAX);
         ASSERT_TRUE(r.inserted);
         ASSERT_EQ(r.id, i);
     }
     for (std::uint64_t i = 0; i < 5000; ++i) {
-        const auto r = store.intern(&i, 0, SIZE_MAX);
+        const auto r = store.intern(&i, SIZE_MAX);
         ASSERT_FALSE(r.inserted);
         ASSERT_EQ(r.id, i);
         ASSERT_EQ(store.find(&i), i);
@@ -476,28 +460,26 @@ TEST(ConcurrentMarkingStore, MetaWordsLiveInTheRecord) {
     // Records carry meta words after the marking payload: the first
     // `meta_init_words` copied in before publication, the rest zeroed,
     // untouched by dedup hits, stable across table growth (records never
-    // move) — in both layouts. The engine keeps witness links here, so
-    // trace rebuilding must not depend on any side array staying aligned
-    // with insertion order.
-    for (const bool compact : {false, true}) {
-        ConcurrentMarkingStore store(1, /*meta_words=*/2, 1, compact);
-        for (std::uint64_t i = 0; i < 3000; ++i) {
-            store.reserve(i + 1);
-            const std::uint64_t init = i * 2 + 1;
-            const auto r = store.intern(&i, 0, SIZE_MAX, &init, 1);
-            ASSERT_TRUE(r.inserted);
-            EXPECT_EQ(store[r.id][store.meta_offset()], init);
-            EXPECT_EQ(store[r.id][store.meta_offset() + 1], 0u);
-            store.record_mut(r.id)[store.meta_offset() + 1] = ~i;
-        }
-        for (std::uint64_t i = 0; i < 3000; ++i) {
-            const auto r = store.intern(&i, 0, SIZE_MAX);  // after rehashes
-            ASSERT_FALSE(r.inserted);
-            const std::uint64_t* record = store[r.id];
-            EXPECT_EQ(record[0], i);  // payload intact
-            EXPECT_EQ(record[store.meta_offset()], i * 2 + 1);
-            EXPECT_EQ(record[store.meta_offset() + 1], ~i);
-        }
+    // move). The engine keeps witness links here, so trace rebuilding
+    // must not depend on any side array staying aligned with insertion
+    // order.
+    ConcurrentMarkingStore store(1, /*meta_words=*/2);
+    for (std::uint64_t i = 0; i < 3000; ++i) {
+        store.reserve(i + 1);
+        const std::uint64_t init = i * 2 + 1;
+        const auto r = store.intern(&i, SIZE_MAX, &init, 1);
+        ASSERT_TRUE(r.inserted);
+        EXPECT_EQ(store[r.id][store.meta_offset()], init);
+        EXPECT_EQ(store[r.id][store.meta_offset() + 1], 0u);
+        store.record_mut(r.id)[store.meta_offset() + 1] = ~i;
+    }
+    for (std::uint64_t i = 0; i < 3000; ++i) {
+        const auto r = store.intern(&i, SIZE_MAX);  // after rehashes
+        ASSERT_FALSE(r.inserted);
+        const std::uint64_t* record = store[r.id];
+        EXPECT_EQ(record[0], i);  // payload intact
+        EXPECT_EQ(record[store.meta_offset()], i * 2 + 1);
+        EXPECT_EQ(record[store.meta_offset() + 1], ~i);
     }
 }
 
@@ -506,7 +488,7 @@ TEST(ConcurrentMarkingStore, ConcurrentInterningIsConsistent) {
     // every key must get exactly one dense id, agreed on by all workers.
     constexpr std::size_t kKeys = 20000;
     constexpr std::size_t kWorkers = 8;
-    ConcurrentMarkingStore store(1, 0, kWorkers);
+    ConcurrentMarkingStore store(1, 0);
     store.reserve(kKeys);
 
     std::vector<std::vector<std::uint32_t>> ids(
@@ -524,7 +506,7 @@ TEST(ConcurrentMarkingStore, ConcurrentInterningIsConsistent) {
                 std::swap(keys[i - 1], keys[rng.below(i)]);
             }
             for (const std::uint64_t key : keys) {
-                ids[w][key] = store.intern(&key, w, kKeys).id;
+                ids[w][key] = store.intern(&key, kKeys).id;
             }
         });
     }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -236,6 +237,13 @@ inline Fixture fuzz_fixture(std::uint64_t seed) {
         case 1: return mesh_fixture(seed);
         default: return random_fixture(seed);
     }
+}
+
+/// Parameter printing for suites parameterised over the zoo (TEST_P +
+/// ValuesIn(all_fixtures())): gtest_discover_tests names each ctest case
+/// after the printed value, so the cases read `.../wagging`, not `.../6`.
+inline void PrintTo(const Fixture& fixture, std::ostream* os) {
+    *os << fixture.name;
 }
 
 inline std::vector<Fixture> all_fixtures() {

@@ -129,26 +129,33 @@ void expect_same_reduced_graph(const MultiResult& a, const MultiResult& b,
 
 // -------------------------------------------------------- differential --
 
-TEST(PorDifferential, VerdictsPreservedOnEveryFixture) {
-    for (const Fixture& fixture : all_fixtures()) {
-        const CompiledNet compiled(fixture.net);
-        const QueryBundle bundle(fixture.net);
-        const oracle::Result full = oracle_for(fixture.net, bundle.query);
+// One ctest case per zoo fixture, so the oracle BFS of the biggest model
+// (the 842k-state wagging stage) cannot push the whole zoo past a slow
+// build's per-test timeout.
+class PorDifferentialZoo : public ::testing::TestWithParam<Fixture> {};
 
-        std::optional<MultiResult> baseline;
-        for (const std::size_t threads : kThreadCounts) {
-            const std::string context =
-                fixture.name + " reduced @" + std::to_string(threads) + "t";
-            const auto red = reduced_run(compiled, bundle.query, threads);
-            expect_preserves(fixture.net, bundle, full, red, context);
-            if (baseline) {
-                expect_same_reduced_graph(*baseline, red, context);
-            } else {
-                baseline = red;
-            }
+TEST_P(PorDifferentialZoo, VerdictsPreserved) {
+    const Fixture& fixture = GetParam();
+    const CompiledNet compiled(fixture.net);
+    const QueryBundle bundle(fixture.net);
+    const oracle::Result full = oracle_for(fixture.net, bundle.query);
+
+    std::optional<MultiResult> baseline;
+    for (const std::size_t threads : kThreadCounts) {
+        const std::string context =
+            fixture.name + " reduced @" + std::to_string(threads) + "t";
+        const auto red = reduced_run(compiled, bundle.query, threads);
+        expect_preserves(fixture.net, bundle, full, red, context);
+        if (baseline) {
+            expect_same_reduced_graph(*baseline, red, context);
+        } else {
+            baseline = red;
         }
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(EveryFixture, PorDifferentialZoo,
+                         ::testing::ValuesIn(all_fixtures()));
 
 TEST(PorDifferential, RandomizedFuzzer24Seeds) {
     // 24 seeded random models across the three topology classes, reduced

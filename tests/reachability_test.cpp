@@ -155,30 +155,28 @@ TEST(CompiledNet, StateCountsMatchNaiveExploration) {
 TEST(MarkingStore, InternsDedupesAndEnforcesCapacity) {
     // The one interning table in its single-worker role: dense ids in
     // insertion order, dedup hits keep their id, and the state limit
-    // refuses inserts without growing the store — in both layouts.
-    for (const bool compact : {false, true}) {
-        ConcurrentMarkingStore store(2, 0, 1, compact);
-        store.reserve(2);
-        const std::uint64_t a[2] = {1, 2};
-        const std::uint64_t b[2] = {3, 4};
-        const auto ra = store.intern(a, 0, 2);
-        EXPECT_TRUE(ra.inserted);
-        EXPECT_EQ(ra.id, 0u);
-        const auto ra2 = store.intern(a, 0, 2);
-        EXPECT_FALSE(ra2.inserted);
-        EXPECT_EQ(ra2.id, 0u);
-        const auto rb = store.intern(b, 0, 2);
-        EXPECT_TRUE(rb.inserted);
-        EXPECT_EQ(rb.id, 1u);
-        const std::uint64_t c[2] = {5, 6};
-        const auto rc = store.intern(c, 0, 2);  // over capacity
-        EXPECT_FALSE(rc.inserted);
-        EXPECT_EQ(rc.id, ConcurrentMarkingStore::kNone);
-        EXPECT_EQ(store.size(), 2u);
-        EXPECT_EQ(store[1][0], 3u);
-        EXPECT_EQ(store[1][1], 4u);
-        EXPECT_EQ(store.find(c), ConcurrentMarkingStore::kNone);
-    }
+    // refuses inserts without growing the store.
+    ConcurrentMarkingStore store(2, 0);
+    store.reserve(2);
+    const std::uint64_t a[2] = {1, 2};
+    const std::uint64_t b[2] = {3, 4};
+    const auto ra = store.intern(a, 2);
+    EXPECT_TRUE(ra.inserted);
+    EXPECT_EQ(ra.id, 0u);
+    const auto ra2 = store.intern(a, 2);
+    EXPECT_FALSE(ra2.inserted);
+    EXPECT_EQ(ra2.id, 0u);
+    const auto rb = store.intern(b, 2);
+    EXPECT_TRUE(rb.inserted);
+    EXPECT_EQ(rb.id, 1u);
+    const std::uint64_t c[2] = {5, 6};
+    const auto rc = store.intern(c, 2);  // over capacity
+    EXPECT_FALSE(rc.inserted);
+    EXPECT_EQ(rc.id, ConcurrentMarkingStore::kNone);
+    EXPECT_EQ(store.size(), 2u);
+    EXPECT_EQ(store[1][0], 3u);
+    EXPECT_EQ(store[1][1], 4u);
+    EXPECT_EQ(store.find(c), ConcurrentMarkingStore::kNone);
 }
 
 // -------------------------------------------------------- truncation --

@@ -1,14 +1,12 @@
 #include "flow/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
+#include "flow/job_runner.hpp"
 #include "ope/dfs_models.hpp"
 #include "util/rng.hpp"
 #include "verify/witness.hpp"
@@ -62,23 +60,16 @@ struct CampaignState {
     double knee_fraction = 0.05;
     Campaign::RunCallback callback;
 
-    // -- work distribution ----------------------------------------------
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> cancelled{false};
-    std::vector<std::thread> pool;
-
-    // -- mutable results + aggregates (guarded by mutex) ------------------
-    std::mutex mutex;
-    std::size_t in_flight = 0;  ///< points simulating right now
-    std::vector<CampaignAggregate> rows;  ///< slot per grid point
-    std::vector<char> row_done;           ///< slot filled by a worker
-    std::size_t done = 0;
+    // -- results + aggregates (guarded by the runner's lock) --------------
+    /// Slot per grid point, filled when the point finishes all its runs.
+    std::vector<std::optional<CampaignAggregate>> rows;
     std::size_t runs_done = 0;
     std::size_t failures = 0;
     std::size_t hazards = 0;
     std::uint64_t faults_injected = 0;
     std::uint64_t glitch_windows = 0;
-    bool joined = false;
+
+    JobRunner runner;  // last: its pool is joined before the rest dies
 };
 
 namespace {
@@ -98,27 +89,28 @@ void fold_run(std::uint64_t& h, const CampaignRun& r) {
     fnv_u64(h, r.glitches);
 }
 
-/// Publishes one finished run row: aggregate counters + the streaming
-/// callback, both under the state mutex (callback serialised, never
-/// after cancel()).
+/// Publishes one finished run: aggregate counters, then the on_run sink.
 void publish_run(CampaignState& state, const CampaignRun& row) {
-    const std::lock_guard<std::mutex> lock(state.mutex);
-    ++state.runs_done;
-    if (!row.completed) ++state.failures;
-    if (row.hazard) ++state.hazards;
-    state.faults_injected += row.faults.injected();
-    state.glitch_windows += row.glitches;
-    if (!state.cancelled.load(std::memory_order_relaxed) &&
-        state.callback) {
-        state.callback(row);
-    }
+    state.runner.publish(
+        [&] {
+            ++state.runs_done;
+            if (!row.completed) ++state.failures;
+            if (row.hazard) ++state.hazards;
+            state.faults_injected += row.faults.injected();
+            state.glitch_windows += row.glitches;
+        },
+        [&] {
+            if (state.callback) state.callback(row);
+        });
 }
 
-/// Runs one grid point start to finish: calibrate, then `runs` seeded
-/// Monte-Carlo runs in run order. Never throws; a factory/build failure
-/// reports every run of the point as failed with zero events.
-CampaignAggregate process_point(CampaignState& state,
-                                const CampaignPoint& point) {
+/// One runner job: a grid point start to finish. Calibrate, then `runs`
+/// seeded Monte-Carlo runs in run order. A point skipped or interrupted
+/// by cancel() (polled between runs) stays unfinished: it neither counts
+/// as done nor reaches the summary.
+void run_point(CampaignState& state, std::size_t index) {
+    if (state.runner.cancelled()) return;
+    const CampaignPoint& point = state.grid[index];
     CampaignAggregate agg;
     agg.point = point;
     agg.runs = state.runs;
@@ -128,37 +120,27 @@ CampaignAggregate process_point(CampaignState& state,
     try {
         design = make_design(state.factory(point.depth), state.base);
     } catch (const std::exception&) {
-        // Invalid depth for this factory: the whole point is a failure
-        // band of the survival curve, deterministically.
-        for (std::size_t r = 0; r < state.runs; ++r) {
-            CampaignRun row;
-            row.point = point.index;
-            row.run = r;
-            row.seed = util::stream_seed(
-                state.seed, point.index * state.runs + r);
-            fold_run(agg.checksum, row);
-            publish_run(state, row);
-        }
-        return agg;
+        // Invalid depth for this factory: no run simulates, so every run
+        // of the point fails with zero events — a deterministic failure
+        // band of the survival curve.
     }
 
-    const dfs::Graph& graph = design->graph();
-    const dfs::Dynamics& dynamics = design->dynamics();
-    const dfs::NodeId out = design->pipeline().out;
     const tech::VoltageModel model(state.base.process);
+    const dfs::NodeId out = design ? design->pipeline().out : dfs::NodeId{};
     // Guard rail against pathological fault configurations that never
     // reach the item target: generous, but finite.
     const std::uint64_t event_cap =
-        std::max<std::uint64_t>(1, state.items) * graph.node_count() * 64;
+        std::max<std::uint64_t>(1, state.items) *
+        (design ? design->graph().node_count() : 0) * 64;
 
     // Calibrate the point's fault-free run time at the nominal supply;
     // the per-run simulated-time budget scales it by the voltage's
     // speed factor.
     double nominal_s = 0.0;
-    {
+    if (design) {
         asim::TimedSimulator sim = design->timed_sim();
         sim.set_seed(util::stream_seed(state.seed ^ kCalibTag, point.index));
-        dfs::State s = dfs::State::initial(graph);
+        dfs::State s = dfs::State::initial(design->graph());
         asim::RunLimits limits;
         limits.target_marks = state.items;
         limits.observe = out;
@@ -174,11 +156,17 @@ CampaignAggregate process_point(CampaignState& state,
         tech::VoltageSchedule::constant(point.voltage);
 
     for (std::size_t r = 0; r < state.runs; ++r) {
+        if (state.runner.cancelled()) return;
         CampaignRun row;
         row.point = point.index;
         row.run = r;
         row.seed =
             util::stream_seed(state.seed, point.index * state.runs + r);
+        if (!design) {  // a failed run with zero events
+            fold_run(agg.checksum, row);
+            publish_run(state, row);
+            continue;
+        }
 
         const asim::GlitchedSchedule glitched = asim::splice_glitches(
             base_schedule, spec.glitch, row.seed, budget_s);
@@ -191,7 +179,7 @@ CampaignAggregate process_point(CampaignState& state,
             sim.enable_event_trace(event_cap);
         }
 
-        dfs::State s = dfs::State::initial(graph);
+        dfs::State s = dfs::State::initial(design->graph());
         asim::RunLimits limits;
         limits.target_marks = state.items;
         limits.observe = out;
@@ -207,7 +195,7 @@ CampaignAggregate process_point(CampaignState& state,
         row.energy_j = stats.total_energy_j();
         row.events = stats.events;
         row.faults = stats.faults;
-        row.hazard = dynamics.control_conflict(s).has_value();
+        row.hazard = design->dynamics().control_conflict(s).has_value();
         if (row.hazard && state.confirm_hazards &&
             !stats.events_log_truncated) {
             std::vector<dfs::Event> events;
@@ -215,9 +203,8 @@ CampaignAggregate process_point(CampaignState& state,
             for (const asim::TimedEvent& te : stats.events_log) {
                 events.push_back(te.event);
             }
-            const verify::WitnessReplay replay =
-                verify::replay_events_on_net(dynamics,
-                                             design->translation(), events);
+            const verify::WitnessReplay replay = verify::replay_events_on_net(
+                design->dynamics(), design->translation(), events);
             row.hazard_confirmed = replay.ok && replay.marking_agrees;
         }
 
@@ -248,97 +235,46 @@ CampaignAggregate process_point(CampaignState& state,
     }
     agg.survival =
         agg.runs > 0 ? static_cast<double>(agg.completed) / agg.runs : 0.0;
-    return agg;
-}
-
-void worker_loop(const std::shared_ptr<CampaignState>& state) {
-    for (;;) {
-        if (state->cancelled.load(std::memory_order_relaxed)) return;
-        const std::size_t index =
-            state->next.fetch_add(1, std::memory_order_relaxed);
-        if (index >= state->grid.size()) return;
-
-        {
-            const std::lock_guard<std::mutex> lock(state->mutex);
-            ++state->in_flight;
-        }
-
-        CampaignAggregate row = process_point(*state, state->grid[index]);
-
-        {
-            const std::lock_guard<std::mutex> lock(state->mutex);
-            --state->in_flight;
-            state->rows[index] = std::move(row);
-            state->row_done[index] = 1;
-            ++state->done;
-        }
-    }
-}
-
-void join_pool(CampaignState& state) {
-    {
-        const std::lock_guard<std::mutex> lock(state.mutex);
-        if (state.joined) return;
-        state.joined = true;
-    }
-    for (std::thread& worker : state.pool) {
-        if (worker.joinable()) worker.join();
-    }
+    state.runner.finish_row([&] { state.rows[index] = std::move(agg); },
+                            [] {});
 }
 
 Metrics build_metrics(CampaignState& state) {
     Metrics m;
     using Type = Metrics::Type;
 
-    std::size_t done = 0;
-    std::size_t in_flight = 0;
-    std::size_t runs_done = 0;
-    std::size_t failures = 0;
-    std::size_t hazards = 0;
-    std::uint64_t faults = 0;
-    std::uint64_t glitches = 0;
-    {
-        const std::lock_guard<std::mutex> lock(state.mutex);
-        done = state.done;
-        in_flight = state.in_flight;
-        runs_done = state.runs_done;
-        failures = state.failures;
-        hazards = state.hazards;
-        faults = state.faults_injected;
-        glitches = state.glitch_windows;
-    }
-
+    const auto lock = state.runner.lock();
     m.set("rap_mc_points_total", "Grid points in the campaign",
           Type::kGauge, static_cast<double>(state.grid.size()));
     m.set("rap_mc_points_done", "Grid points completed so far",
-          Type::kGauge, static_cast<double>(done));
+          Type::kGauge, static_cast<double>(state.runner.done()));
     m.set("rap_mc_in_flight", "Grid points simulating right now",
-          Type::kGauge, static_cast<double>(in_flight));
+          Type::kGauge, static_cast<double>(state.runner.in_flight()));
     m.set("rap_mc_cancelled", "1 once Handle::cancel() was called",
-          Type::kGauge,
-          state.cancelled.load(std::memory_order_relaxed) ? 1.0 : 0.0);
+          Type::kGauge, state.runner.cancelled() ? 1.0 : 0.0);
     m.set("rap_mc_runs_total", "Monte-Carlo runs the grid will execute",
           Type::kGauge,
           static_cast<double>(state.grid.size() * state.runs));
     m.set("rap_mc_runs_done", "Monte-Carlo runs completed so far",
-          Type::kCounter, static_cast<double>(runs_done));
+          Type::kCounter, static_cast<double>(state.runs_done));
     m.set("rap_mc_failures_total",
           "Runs that missed the item target (deadlock, freeze or budget)",
-          Type::kCounter, static_cast<double>(failures));
+          Type::kCounter, static_cast<double>(state.failures));
     m.set("rap_mc_hazards_total",
           "Runs ending in a control-token conflict", Type::kCounter,
-          static_cast<double>(hazards));
+          static_cast<double>(state.hazards));
     m.set("rap_mc_faults_injected_total",
           "Event faults injected across all runs (drops, duplicates, "
           "stuck-ats)",
-          Type::kCounter, static_cast<double>(faults));
+          Type::kCounter, static_cast<double>(state.faults_injected));
     m.set("rap_mc_glitch_windows_total",
           "Supply-droop windows realised across all runs", Type::kCounter,
-          static_cast<double>(glitches));
+          static_cast<double>(state.glitch_windows));
     m.set("rap_mc_survival",
           "Completed / executed runs so far", Type::kGauge,
-          runs_done > 0
-              ? static_cast<double>(runs_done - failures) / runs_done
+          state.runs_done > 0
+              ? static_cast<double>(state.runs_done - state.failures) /
+                    state.runs_done
               : 0.0);
     return m;
 }
@@ -346,9 +282,9 @@ Metrics build_metrics(CampaignState& state) {
 CampaignSummary build_summary(CampaignState& state) {
     CampaignSummary summary;
     summary.checksum = kFnvOffset;
-    for (std::size_t i = 0; i < state.rows.size(); ++i) {
-        if (!state.row_done[i]) continue;  // cancelled before start
-        const CampaignAggregate& row = state.rows[i];
+    for (const std::optional<CampaignAggregate>& slot : state.rows) {
+        if (!slot) continue;  // unfinished: skipped or interrupted
+        const CampaignAggregate& row = *slot;
         summary.runs_total += row.runs;
         summary.completed_total += row.completed;
         summary.hazards_total += row.hazards;
@@ -525,22 +461,18 @@ std::vector<CampaignPoint> Campaign::grid() const {
 Campaign::Handle::Handle(std::shared_ptr<detail::CampaignState> state)
     : state_(std::move(state)) {}
 
-Campaign::Handle::~Handle() {
-    if (state_) detail::join_pool(*state_);
-}
+// The Handle owns the state alone; destroying it joins the pool.
+Campaign::Handle::~Handle() = default;
 
-void Campaign::Handle::cancel() {
-    const std::lock_guard<std::mutex> lock(state_->mutex);
-    state_->cancelled.store(true, std::memory_order_relaxed);
-}
+void Campaign::Handle::cancel() { state_->runner.cancel(); }
 
 bool Campaign::Handle::cancelled() const {
-    return state_->cancelled.load(std::memory_order_relaxed);
+    return state_->runner.cancelled();
 }
 
 std::size_t Campaign::Handle::done() const {
-    const std::lock_guard<std::mutex> lock(state_->mutex);
-    return state_->done;
+    const auto lock = state_->runner.lock();
+    return state_->runner.done();
 }
 
 std::size_t Campaign::Handle::total() const {
@@ -552,7 +484,7 @@ Metrics Campaign::Handle::metrics() const {
 }
 
 CampaignSummary Campaign::Handle::wait() {
-    detail::join_pool(*state_);
+    state_->runner.wait();
     return detail::build_summary(*state_);
 }
 
@@ -572,21 +504,10 @@ Campaign::Handle Campaign::launch() {
     state->knee_fraction = knee_fraction_;
     state->callback = callback_;
 
-    std::size_t workers = workers_;
-    if (workers == 0) {
-        workers = std::max(1u, std::thread::hardware_concurrency());
-    }
-    workers = std::max<std::size_t>(
-        1, std::min(workers, state->grid.size()));
-
     state->rows.resize(state->grid.size());
-    state->row_done.assign(state->grid.size(), 0);
-
-    state->pool.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i) {
-        state->pool.emplace_back(
-            [state] { detail::worker_loop(state); });
-    }
+    state->runner.launch(
+        state->grid.size(), workers_,
+        [raw = state.get()](std::size_t job) { detail::run_point(*raw, job); });
     return Handle(std::move(state));
 }
 

@@ -182,7 +182,8 @@ public:
     Campaign& workers(std::size_t count);
     /// Streaming sink for per-run rows, invoked from worker threads
     /// (serialised). Rows of one point arrive in run order; must not
-    /// call back into the Handle.
+    /// call back into the Handle. One that throws cancels the campaign;
+    /// Handle::wait() rethrows.
     Campaign& on_run(RunCallback callback);
 
     /// The expanded grid in stable order, without running anything.
@@ -198,9 +199,11 @@ public:
         Handle& operator=(const Handle&) = delete;
         ~Handle();
 
-        /// Cooperative cancellation: unstarted points are skipped and
-        /// the summary only aggregates completed points (its checksum
-        /// is then NOT comparable to a full run's).
+        /// Cooperative cancellation: unstarted points are skipped, a
+        /// running point stops before its next run, and once cancel()
+        /// returns no further on_run callbacks fire. The summary only
+        /// aggregates completed points (its checksum is then NOT
+        /// comparable to a full run's).
         void cancel();
         bool cancelled() const;
 
@@ -211,7 +214,8 @@ public:
         /// and failure counters) — render with metrics::to_prometheus().
         Metrics metrics() const;
 
-        /// Joins the pool and returns the aggregated summary. Call at
+        /// Joins the pool and returns the aggregated summary. Rethrows,
+        /// after the join, the first exception on_run threw. Call at
         /// most once; the pool is joined either way.
         CampaignSummary wait();
 

@@ -1,15 +1,14 @@
 #include "flow/sweep.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <map>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <unordered_set>
 #include <utility>
+
+#include "flow/job_runner.hpp"
 
 #include "ope/dfs_models.hpp"
 #include "petri/reuse.hpp"
@@ -30,8 +29,8 @@ std::string_view to_string(SweepStatus status) {
 namespace detail {
 
 /// Everything a running sweep shares between the launching thread, the
-/// worker pool and the Handle. Lifetime: shared_ptr held by the Handle
-/// and (via the thread objects living inside it) the workers.
+/// worker pool and the Handle. Lifetime: shared_ptr held by the Handle;
+/// the workers use it by raw pointer and are joined before it dies.
 struct SweepState {
     // -- immutable after launch -----------------------------------------
     Sweep::Factory factory;
@@ -41,12 +40,13 @@ struct SweepState {
     std::vector<tech::VoltageSchedule> schedules;
     double timeout_s = 0.0;
     Sweep::ResultCallback callback;
-    /// Shared-store mode: chains of grid indices, one per (stages,
-    /// schedule) pair in grid order. A chain is the scheduling unit —
-    /// its points run on one worker, in depth order, against one
-    /// ReuseStore (explorations sharing a store must be sequenced).
-    /// Empty when the mode is off (points schedule individually).
+    /// Chains of grid indices, the scheduling unit: a chain's points run
+    /// on one worker, in depth order. One chain per point, or in
+    /// shared-store mode one per (stages, schedule) pair whose points
+    /// share one ReuseStore (explorations sharing a store must be
+    /// sequenced).
     std::vector<std::vector<std::size_t>> chains;
+    bool shared_store = false;
     /// Checkpoint directory ("" = off): each point writes
     /// `<dir>/<flattened label>.ckpt`.
     std::string checkpoint_dir;
@@ -54,30 +54,11 @@ struct SweepState {
     /// hit-rate to this sweep rather than the whole process lifetime.
     verify::CacheStats cache_before;
 
-    // -- work distribution ----------------------------------------------
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> cancelled{false};
-    std::vector<std::thread> pool;
-
-    // -- mutable results + aggregates (guarded by mutex) ------------------
-    std::mutex mutex;
-    std::size_t in_flight = 0;  ///< points running right now
+    // -- results (guarded by the runner's lock) ---------------------------
     std::vector<SweepResult> results;  ///< slot per grid point
-    std::size_t done = 0;
     std::unordered_set<std::string> distinct;  ///< model fingerprints
-    std::size_t states_total = 0;
-    double verify_seconds_total = 0.0;
-    std::size_t peak_resident_bytes = 0;
-    /// Marking-store shape of the exploration that owns
-    /// peak_resident_bytes — the rap_store_* gauges describe the sweep's
-    /// biggest state space, the one capacity planning cares about.
-    std::optional<petri::StoreStats> peak_store;
-    /// Passes that requested cross-pass reuse but ran scratch.
-    std::size_t reuse_fallbacks_total = 0;
-    std::size_t por_active_configs = 0;  ///< rows whose pass reduced
-    std::size_t por_enabled_total = 0;   ///< full-exploration work
-    std::size_t por_expanded_total = 0;  ///< work actually done
-    bool joined = false;
+
+    JobRunner runner;  // last: its pool is joined before the rest dies
 };
 
 namespace {
@@ -97,7 +78,7 @@ SweepResult process_point(SweepState& state, const SweepPoint& point,
                 tech::VoltageModel(state.base.process), 0.0, 1.0);
     }
 
-    if (state.cancelled.load(std::memory_order_relaxed)) {
+    if (state.runner.cancelled()) {
         row.status = SweepStatus::kCancelled;
         return row;
     }
@@ -116,7 +97,7 @@ SweepResult process_point(SweepState& state, const SweepPoint& point,
     // until the session below is done with it.
     const std::string key = verify::model_fingerprint(model->graph);
     {
-        const std::lock_guard<std::mutex> lock(state.mutex);
+        const auto lock = state.runner.lock();
         state.distinct.insert(key);
     }
 
@@ -142,7 +123,7 @@ SweepResult process_point(SweepState& state, const SweepPoint& point,
     }
     const std::function<bool()> user_stop = options.verify.stop;
     options.verify.stop = [&state, deadline, user_stop] {
-        return state.cancelled.load(std::memory_order_relaxed) ||
+        return state.runner.cancelled() ||
                std::chrono::steady_clock::now() >= deadline ||
                (user_stop && user_stop());
     };
@@ -183,7 +164,7 @@ SweepResult process_point(SweepState& state, const SweepPoint& point,
         for (const auto& finding : row.report.findings) {
             truncated_by_stop |= finding.truncated;
         }
-        if (state.cancelled.load(std::memory_order_relaxed)) {
+        if (state.runner.cancelled()) {
             row.status = SweepStatus::kCancelled;
         } else if (truncated_by_stop && t1 >= deadline) {
             row.status = SweepStatus::kTimedOut;
@@ -203,74 +184,18 @@ SweepResult process_point(SweepState& state, const SweepPoint& point,
     return row;
 }
 
-void run_point(SweepState& state, std::size_t index,
-               const std::shared_ptr<petri::ReuseStore>& reuse) {
-    {
-        const std::lock_guard<std::mutex> lock(state.mutex);
-        ++state.in_flight;
-    }
-
-    SweepResult row = process_point(state, state.grid[index], reuse);
-
-    {
-        const std::lock_guard<std::mutex> lock(state.mutex);
-        --state.in_flight;
-        state.states_total += row.states;
-        state.verify_seconds_total += row.verify_seconds;
-        if (row.memory) {
-            if (row.memory->peak_bytes >= state.peak_resident_bytes) {
-                state.peak_store = row.memory->store;
-            }
-            state.peak_resident_bytes = std::max(
-                state.peak_resident_bytes, row.memory->peak_bytes);
-        }
-        state.reuse_fallbacks_total += row.reuse_fallbacks;
-        if (row.por && row.por->active) {
-            ++state.por_active_configs;
-            state.por_enabled_total += row.por->enabled_transitions;
-            state.por_expanded_total += row.por->expanded_transitions;
-        }
-        state.results[index] = std::move(row);
-        ++state.done;
-        // cancel() flips the flag under this same mutex, so once it
-        // returns no further callback can be entered.
-        if (!state.cancelled.load(std::memory_order_relaxed) &&
-            state.callback) {
-            state.callback(state.results[index]);
-        }
-    }
-}
-
-void worker_loop(const std::shared_ptr<SweepState>& state) {
-    // The scheduling unit is a grid point, or — in shared-store mode — a
-    // whole (stages, schedule) chain whose points share one ReuseStore
-    // and therefore must run one at a time, in depth order.
-    const bool chained = !state->chains.empty();
-    const std::size_t tasks =
-        chained ? state->chains.size() : state->grid.size();
-    for (;;) {
-        const std::size_t task =
-            state->next.fetch_add(1, std::memory_order_relaxed);
-        if (task >= tasks) return;
-        if (chained) {
-            const auto reuse = std::make_shared<petri::ReuseStore>();
-            for (const std::size_t index : state->chains[task]) {
-                run_point(*state, index, reuse);
-            }
-        } else {
-            run_point(*state, task, nullptr);
-        }
-    }
-}
-
-void join_pool(SweepState& state) {
-    {
-        const std::lock_guard<std::mutex> lock(state.mutex);
-        if (state.joined) return;
-        state.joined = true;
-    }
-    for (std::thread& worker : state.pool) {
-        if (worker.joinable()) worker.join();
+/// One runner job: a chain, one result row per point.
+void run_job(SweepState& state, std::size_t job) {
+    const auto reuse = state.shared_store
+                           ? std::make_shared<petri::ReuseStore>()
+                           : nullptr;
+    for (const std::size_t index : state.chains[job]) {
+        SweepResult result = process_point(state, state.grid[index], reuse);
+        state.runner.finish_row(
+            [&] { state.results[index] = std::move(result); },
+            [&] {
+                if (state.callback) state.callback(state.results[index]);
+            });
     }
 }
 
@@ -278,31 +203,32 @@ Metrics build_metrics(SweepState& state) {
     Metrics m;
     using Type = Metrics::Type;
 
-    std::size_t done = 0;
-    std::size_t in_flight = 0;
-    std::size_t distinct = 0;
+    auto lock = state.runner.lock();
+    // Aggregates over the rows published so far; unfinished slots carry
+    // no states, memory or reduction and add nothing.
     std::size_t states_total = 0;
     double verify_seconds = 0.0;
-    std::size_t peak = 0;
-    std::optional<petri::StoreStats> peak_store;
+    // The peak-resident exploration: the rap_store_* gauges describe the
+    // sweep's biggest state space, the one capacity planning cares about.
+    const petri::MemoryStats* peak = nullptr;
     std::size_t reuse_fallbacks = 0;
     std::size_t por_active = 0;
-    std::size_t por_enabled = 0;
-    std::size_t por_expanded = 0;
-    {
-        const std::lock_guard<std::mutex> lock(state.mutex);
-        done = state.done;
-        in_flight = state.in_flight;
-        distinct = state.distinct.size();
-        states_total = state.states_total;
-        verify_seconds = state.verify_seconds_total;
-        peak = state.peak_resident_bytes;
-        peak_store = state.peak_store;
-        reuse_fallbacks = state.reuse_fallbacks_total;
-        por_active = state.por_active_configs;
-        por_enabled = state.por_enabled_total;
-        por_expanded = state.por_expanded_total;
+    petri::PorStats por;  // summed over the rows whose pass reduced
+    for (const SweepResult& row : state.results) {
+        states_total += row.states;
+        verify_seconds += row.verify_seconds;
+        if (row.memory &&
+            (peak == nullptr || row.memory->peak_bytes >= peak->peak_bytes)) {
+            peak = &*row.memory;
+        }
+        reuse_fallbacks += row.reuse_fallbacks;
+        if (row.por && row.por->active) {
+            ++por_active;
+            por.merge(*row.por);
+        }
     }
+    const std::size_t done = state.runner.done();
+    const std::size_t in_flight = state.runner.in_flight();
     const std::size_t total = state.grid.size();
     const std::size_t queued = total - std::min(total, done + in_flight);
 
@@ -320,10 +246,10 @@ Metrics build_metrics(SweepState& state) {
           Type::kGauge, static_cast<double>(in_flight));
     m.set("rap_sweep_cancelled",
           "1 once Handle::cancel() was called", Type::kGauge,
-          state.cancelled.load(std::memory_order_relaxed) ? 1.0 : 0.0);
+          state.runner.cancelled() ? 1.0 : 0.0);
     m.set("rap_sweep_distinct_models",
           "Distinct model contents seen (the dedup denominator)",
-          Type::kGauge, static_cast<double>(distinct));
+          Type::kGauge, static_cast<double>(state.distinct.size()));
     m.set("rap_sweep_states_total",
           "States explored across all completed configurations",
           Type::kCounter, static_cast<double>(states_total));
@@ -337,26 +263,28 @@ Metrics build_metrics(SweepState& state) {
               : 0.0);
     m.set("rap_sweep_peak_resident_bytes",
           "Largest single-exploration resident footprint seen",
-          Type::kGauge, static_cast<double>(peak));
+          Type::kGauge,
+          static_cast<double>(peak != nullptr ? peak->peak_bytes : 0));
     m.set("rap_reuse_fallbacks_total",
           "Passes that requested cross-pass reuse but ran scratch",
           Type::kCounter, static_cast<double>(reuse_fallbacks));
 
     // Marking-store shape of the peak-resident exploration — the
     // capacity-tier surface (table vs arena split, load factor).
-    if (peak_store) {
+    if (peak != nullptr) {
+        const petri::StoreStats& store = peak->store;
         m.set("rap_store_slots",
               "Hash-table slots of the peak-resident exploration's store",
-              Type::kGauge, static_cast<double>(peak_store->slots));
+              Type::kGauge, static_cast<double>(store.slots));
         m.set("rap_store_load_factor",
               "Records / slots of the peak-resident exploration's store",
-              Type::kGauge, peak_store->load_factor());
+              Type::kGauge, store.load_factor());
         m.set("rap_store_table_bytes",
               "Hash-table bytes of the peak-resident exploration's store",
-              Type::kGauge, static_cast<double>(peak_store->table_bytes));
+              Type::kGauge, static_cast<double>(store.table_bytes));
         m.set("rap_store_arena_bytes",
               "Record-arena bytes of the peak-resident exploration's store",
-              Type::kGauge, static_cast<double>(peak_store->arena_bytes));
+              Type::kGauge, static_cast<double>(store.arena_bytes));
     }
 
     // Partial-order reduction aggregates across completed rows. The
@@ -368,22 +296,25 @@ Metrics build_metrics(SweepState& state) {
     m.set("rap_por_enabled_transitions_total",
           "Enabled transitions across expanded states (full-exploration "
           "work)",
-          Type::kCounter, static_cast<double>(por_enabled));
+          Type::kCounter, static_cast<double>(por.enabled_transitions));
     m.set("rap_por_expanded_transitions_total",
           "Transitions actually expanded under reduction",
-          Type::kCounter, static_cast<double>(por_expanded));
+          Type::kCounter, static_cast<double>(por.expanded_transitions));
     m.set("rap_por_ignored_transitions_total",
           "Enabled transitions skipped thanks to reduction",
           Type::kCounter,
-          static_cast<double>(por_enabled -
-                              std::min(por_enabled, por_expanded)));
+          static_cast<double>(
+              por.enabled_transitions -
+              std::min(por.enabled_transitions, por.expanded_transitions)));
     m.set("rap_por_reduction_ratio",
           "Enabled / expanded transition work across reduced passes",
           Type::kGauge,
-          por_expanded > 0
-              ? static_cast<double>(por_enabled) /
-                    static_cast<double>(por_expanded)
+          por.expanded_transitions > 0
+              ? static_cast<double>(por.enabled_transitions) /
+                    static_cast<double>(por.expanded_transitions)
               : 0.0);
+
+    lock.unlock();
 
     // Process artifact-cache counters, as deltas since launch so the
     // exposition describes THIS sweep's traffic.
@@ -392,10 +323,8 @@ Metrics build_metrics(SweepState& state) {
     const auto delta = [](std::size_t a, std::size_t b) {
         return static_cast<double>(a - std::min(a, b));
     };
-    char shard_label[16];
     for (std::size_t i = 0; i < now.shards.size(); ++i) {
-        std::snprintf(shard_label, sizeof(shard_label), "%zu", i);
-        const Metrics::Labels labels{{"shard", shard_label}};
+        const Metrics::Labels labels{{"shard", std::to_string(i)}};
         const std::size_t before_hits =
             i < before.shards.size() ? before.shards[i].hits : 0;
         const std::size_t before_misses =
@@ -556,28 +485,22 @@ std::vector<SweepPoint> Sweep::grid() const {
 Sweep::Handle::Handle(std::shared_ptr<detail::SweepState> state)
     : state_(std::move(state)) {}
 
-Sweep::Handle::~Handle() {
-    if (state_) detail::join_pool(*state_);
-}
+// The Handle owns the state alone; destroying it joins the pool.
+Sweep::Handle::~Handle() = default;
 
-void Sweep::Handle::cancel() {
-    const std::lock_guard<std::mutex> lock(state_->mutex);
-    state_->cancelled.store(true, std::memory_order_relaxed);
-}
+void Sweep::Handle::cancel() { state_->runner.cancel(); }
 
-bool Sweep::Handle::cancelled() const {
-    return state_->cancelled.load(std::memory_order_relaxed);
-}
+bool Sweep::Handle::cancelled() const { return state_->runner.cancelled(); }
 
 std::size_t Sweep::Handle::done() const {
-    const std::lock_guard<std::mutex> lock(state_->mutex);
-    return state_->done;
+    const auto lock = state_->runner.lock();
+    return state_->runner.done();
 }
 
 std::size_t Sweep::Handle::total() const { return state_->grid.size(); }
 
 std::size_t Sweep::Handle::distinct_models() const {
-    const std::lock_guard<std::mutex> lock(state_->mutex);
+    const auto lock = state_->runner.lock();
     return state_->distinct.size();
 }
 
@@ -586,8 +509,9 @@ Metrics Sweep::Handle::metrics() const {
 }
 
 std::vector<SweepResult> Sweep::Handle::wait() {
-    detail::join_pool(*state_);
-    return std::move(state_->results);
+    state_->runner.wait();
+    // A copy: metrics() keeps folding over the rows after wait().
+    return state_->results;
 }
 
 // -- launch --------------------------------------------------------------
@@ -611,44 +535,28 @@ Sweep::Handle Sweep::launch() {
             "back kInvalid");
     }
 
-    if (shared_store_) {
-        // One chain per (stages, schedule) pair; the grid is ordered
-        // stages -> depth -> schedule, so pushing indices in grid order
-        // leaves each chain sorted by depth.
-        std::map<std::pair<int, std::size_t>, std::size_t> chain_of;
-        for (std::size_t i = 0; i < state->grid.size(); ++i) {
-            const SweepPoint& p = state->grid[i];
-            const auto key = std::make_pair(p.stages, p.schedule);
-            auto it = chain_of.find(key);
-            if (it == chain_of.end()) {
-                it = chain_of.emplace(key, state->chains.size()).first;
-                state->chains.emplace_back();
-            }
-            state->chains[it->second].push_back(i);
-        }
-    }
-
-    std::size_t workers = workers_;
-    if (workers == 0) {
-        workers = std::max(1u, std::thread::hardware_concurrency());
-    }
-    const std::size_t schedulable =
-        shared_store_ ? state->chains.size() : state->grid.size();
-    workers = std::max<std::size_t>(1, std::min(workers, schedulable));
-
+    // One chain per (stages, schedule) pair in shared-store mode, one
+    // per point otherwise; the grid is ordered stages -> depth ->
+    // schedule, so pushing indices in grid order leaves each chain
+    // sorted by depth. Every result slot starts as its point, kCancelled,
+    // so rows never started still identify themselves.
+    state->shared_store = shared_store_;
     state->results.resize(state->grid.size());
-    // Pre-fill every slot's point so cancelled-before-start rows still
-    // identify themselves; workers overwrite the slots they process.
+    std::map<std::pair<int, std::size_t>, std::size_t> chain_of;
     for (std::size_t i = 0; i < state->grid.size(); ++i) {
-        state->results[i].point = state->grid[i];
+        const SweepPoint& p = state->grid[i];
+        state->results[i].point = p;
         state->results[i].status = SweepStatus::kCancelled;
+        const auto key = shared_store_ ? std::make_pair(p.stages, p.schedule)
+                                       : std::make_pair(-1, i);
+        const auto [it, added] = chain_of.emplace(key, state->chains.size());
+        if (added) state->chains.emplace_back();
+        state->chains[it->second].push_back(i);
     }
 
-    state->pool.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i) {
-        state->pool.emplace_back(
-            [state] { detail::worker_loop(state); });
-    }
+    state->runner.launch(
+        state->chains.size(), workers_,
+        [raw = state.get()](std::size_t job) { detail::run_job(*raw, job); });
     return Handle(std::move(state));
 }
 

@@ -169,6 +169,7 @@ public:
     /// Streaming sink, invoked from worker threads (serialised — at most
     /// one callback at a time) as rows complete. The callback must not
     /// call back into the Handle (it runs under the sweep's result lock).
+    /// One that throws cancels the sweep; Handle::wait() rethrows.
     Sweep& on_result(ResultCallback callback);
 
     /// The expanded grid in stable order, without running anything.
@@ -206,6 +207,7 @@ public:
         Metrics metrics() const;
 
         /// Joins the pool and returns every row in stable grid order.
+        /// Rethrows, after the join, the first exception on_result threw.
         /// Call at most once; the pool is joined either way.
         std::vector<SweepResult> wait();
 

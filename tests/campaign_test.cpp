@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -275,6 +276,57 @@ TEST(Campaign, StreamsRowsInRunOrderPerPoint) {
             EXPECT_EQ(runs[r], r) << "rows of one point arrive in order";
         }
     }
+}
+
+// cancel() interrupts a running point between runs: the point is dropped
+// from the summary as unfinished and no on_run fires once cancel()
+// returns.
+TEST(Campaign, CancelInterruptsARunningPoint) {
+    constexpr std::size_t kRuns = 100000;
+    std::promise<void> first_run;
+    auto first_run_seen = first_run.get_future();
+    std::size_t calls = 0;
+    Campaign campaign(small_factory(2));
+    Campaign::Handle handle = campaign.depths({2})
+                                  .runs(kRuns)
+                                  .items(4)
+                                  .on_run([&](const CampaignRun&) {
+                                      if (++calls == 1) first_run.set_value();
+                                  })
+                                  .launch();
+    first_run_seen.wait();
+    handle.cancel();
+    const std::size_t calls_at_cancel = calls;
+
+    const CampaignSummary summary = handle.wait();
+    EXPECT_EQ(calls, calls_at_cancel);
+    EXPECT_TRUE(summary.rows.empty());
+    EXPECT_EQ(summary.runs_total, 0u);
+    EXPECT_EQ(handle.done(), 0u);
+    const Metrics m = handle.metrics();
+    EXPECT_LT(m.value("rap_mc_runs_done"), static_cast<double>(kRuns));
+    EXPECT_EQ(m.value("rap_mc_cancelled"), 1.0);
+    EXPECT_EQ(m.value("rap_mc_in_flight"), 0.0);
+}
+
+// A throwing on_run ends the campaign instead of the process: wait()
+// joins the pool and rethrows, and no further on_run fires.
+TEST(Campaign, ThrowingSinkRethrowsFromWait) {
+    std::size_t calls = 0;
+    Campaign::Handle handle = Campaign(small_factory(2))
+                                  .depths({1, 2})
+                                  .runs(4)
+                                  .items(4)
+                                  .workers(1)
+                                  .on_run([&](const CampaignRun&) {
+                                      ++calls;
+                                      throw std::runtime_error("sink failed");
+                                  })
+                                  .launch();
+    EXPECT_THROW(handle.wait(), std::runtime_error);
+    EXPECT_EQ(calls, 1u);
+    EXPECT_TRUE(handle.cancelled());
+    EXPECT_EQ(handle.metrics().value("rap_mc_in_flight"), 0.0);
 }
 
 TEST(Campaign, MetricsExposeMonteCarloCounters) {

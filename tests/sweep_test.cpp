@@ -243,6 +243,29 @@ TEST(Sweep, CancelStopsCallbacksAndDrainsPool) {
     EXPECT_EQ(handle.metrics().value("rap_sweep_cancelled"), 1.0);
 }
 
+// A sink that throws ends the sweep instead of the process: the
+// exception cancels the rest of the grid, wait() joins the pool and
+// rethrows it, and no callback fires after the one that threw.
+TEST(Sweep, ThrowingSinkRethrowsFromWaitAndStopsCallbacks) {
+    std::size_t callbacks = 0;
+    Sweep sweep(&ope_style_factory);
+    Sweep::Handle handle = sweep.stages({2, 3})
+                               .depths(1, 2)  // 4 configurations
+                               .workers(1)
+                               .on_result([&](const SweepResult&) {
+                                   ++callbacks;
+                                   throw std::runtime_error("sink failed");
+                               })
+                               .launch();
+    EXPECT_THROW(handle.wait(), std::runtime_error);
+    EXPECT_EQ(callbacks, 1u);
+    EXPECT_TRUE(handle.cancelled());
+    // Joined and drained: every point reported, none still running.
+    EXPECT_EQ(handle.done(), 4u);
+    EXPECT_EQ(handle.metrics().value("rap_sweep_in_flight"), 0.0);
+    EXPECT_EQ(handle.metrics().value("rap_sweep_queue_depth"), 0.0);
+}
+
 // A per-configuration wall-clock budget interrupts the exploration
 // through the same stop hook: the row reports kTimedOut and its
 // findings are truncated (inconclusive), while the sweep carries on.

@@ -1,8 +1,7 @@
 // Incremental re-verification: the d=1..6 reconfiguration sweep of a
 // run-time reconfigurable wagging pipeline, run twice — from scratch
 // (fresh compile and fresh exploration per configuration) and
-// incrementally (delta-compiled nets chained off the previous
-// configuration, one petri::ReuseStore carried across every pass). The
+// incrementally (one petri::ReuseStore carried across every pass). The
 // sweep axis is the initial phase of the alternating control rings:
 // each d rotates the configuration tokens one position, a marking-only
 // change to one shared structure. Because the rings advance at runtime
@@ -47,7 +46,7 @@ constexpr double kInternRatioCeiling = 1.5;
 /// distributor/collector rings start rotated by `phase` positions —
 /// the d-th configuration of one shared structure. The graph name is
 /// phase-independent, so every configuration shares one structural
-/// digest: the precondition for delta compilation and marking reuse.
+/// digest: the precondition for marking reuse.
 petri::Net config_net(int phase) {
     dfs::Graph g("bench_incremental");
     const dfs::NodeId in = g.add_register("in");
@@ -73,21 +72,17 @@ struct Pass {
 /// One exhaustive reduced deadlock pass — the pass class the
 /// verification flow runs per reconfiguration. The clock covers the
 /// whole per-configuration cost: graph construction, translation, net
-/// compilation (full or delta) and the exploration itself.
-Pass run_config(int d, const petri::CompiledNet* parent,
-                const std::shared_ptr<petri::ReuseStore>& reuse,
-                std::unique_ptr<petri::CompiledNet>& compiled_out) {
+/// compilation and the exploration itself.
+Pass run_config(int d, const std::shared_ptr<petri::ReuseStore>& reuse) {
     bench::Stopwatch watch;
     const petri::Net net = config_net(d - 1);
-    compiled_out = parent != nullptr
-                       ? std::make_unique<petri::CompiledNet>(net, *parent)
-                       : std::make_unique<petri::CompiledNet>(net);
+    const petri::CompiledNet compiled(net);
     petri::ReachabilityOptions options;
     options.stop_at_first_match = false;
     options.threads = 1;
     options.por = true;
     options.reuse = reuse;
-    petri::ParallelReachabilityExplorer explorer(*compiled_out, options);
+    petri::ParallelReachabilityExplorer explorer(compiled, options);
     const petri::Predicate dead = petri::Predicate::deadlock();
     petri::MultiQuery query;
     query.goals = {&dead};
@@ -119,16 +114,14 @@ int main(int argc, char** argv) {
 
     // Scratch side: fresh compile and exploration per configuration,
     // three sweep iterations, best total (the compile is part of the
-    // cost on both sides — delta compilation is half the incremental
-    // story).
+    // cost on both sides).
     std::vector<Pass> scratch(kConfigs + 1);
     double scratch_total = 1e300;
     for (int iter = 0; iter < 3; ++iter) {
         double total = 0.0;
         std::vector<Pass> passes(kConfigs + 1);
         for (int d = 1; d <= kConfigs; ++d) {
-            std::unique_ptr<petri::CompiledNet> compiled;
-            passes[d] = run_config(d, nullptr, nullptr, compiled);
+            passes[d] = run_config(d, nullptr);
             total += passes[d].seconds;
         }
         if (total < scratch_total) {
@@ -137,9 +130,8 @@ int main(int argc, char** argv) {
         }
     }
 
-    // Incremental side: configuration d delta-compiles against d-1's net
-    // and every pass shares one ReuseStore. A fresh store per iteration
-    // keeps the iterations comparable.
+    // Incremental side: every pass shares one ReuseStore. A fresh store
+    // per iteration keeps the iterations comparable.
     std::vector<Pass> incremental(kConfigs + 1);
     double incremental_total = 1e300;
     std::size_t interned = 0;
@@ -147,12 +139,9 @@ int main(int argc, char** argv) {
         const auto reuse = std::make_shared<petri::ReuseStore>();
         double total = 0.0;
         std::vector<Pass> passes(kConfigs + 1);
-        std::unique_ptr<petri::CompiledNet> parent;
         for (int d = 1; d <= kConfigs; ++d) {
-            std::unique_ptr<petri::CompiledNet> compiled;
-            passes[d] = run_config(d, parent.get(), reuse, compiled);
+            passes[d] = run_config(d, reuse);
             total += passes[d].seconds;
-            parent = std::move(compiled);
         }
         if (total < incremental_total) {
             incremental_total = total;

@@ -55,7 +55,7 @@ int main() {
 
     // The dedup story: identical model contents (the schedule axis does
     // not change the model) compiled exactly once, everything else came
-    // out of the sharded artifact cache.
+    // out of the artifact cache.
     std::printf("\n%zu grid points, %zu distinct models\n", rows.size(),
                 handle.distinct_models());
 

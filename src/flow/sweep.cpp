@@ -323,31 +323,17 @@ Metrics build_metrics(SweepState& state) {
     const auto delta = [](std::size_t a, std::size_t b) {
         return static_cast<double>(a - std::min(a, b));
     };
-    for (std::size_t i = 0; i < now.shards.size(); ++i) {
-        const Metrics::Labels labels{{"shard", std::to_string(i)}};
-        const std::size_t before_hits =
-            i < before.shards.size() ? before.shards[i].hits : 0;
-        const std::size_t before_misses =
-            i < before.shards.size() ? before.shards[i].misses : 0;
-        const std::size_t before_evictions =
-            i < before.shards.size() ? before.shards[i].evictions : 0;
-        m.set("rap_cache_hits_total",
-              "Artifact cache hits since the sweep launched, per shard",
-              Type::kCounter, delta(now.shards[i].hits, before_hits),
-              labels);
-        m.set("rap_cache_misses_total",
-              "Artifact cache misses (= builds) since the sweep "
-              "launched, per shard",
-              Type::kCounter, delta(now.shards[i].misses, before_misses),
-              labels);
-        m.set("rap_cache_evictions_total",
-              "Artifact cache LRU evictions since the sweep launched, "
-              "per shard",
-              Type::kCounter,
-              delta(now.shards[i].evictions, before_evictions), labels);
-    }
     const double hits = delta(now.hits, before.hits);
     const double misses = delta(now.misses, before.misses);
+    m.set("rap_cache_hits_total",
+          "Artifact cache hits since the sweep launched", Type::kCounter,
+          hits);
+    m.set("rap_cache_misses_total",
+          "Artifact cache misses (= builds) since the sweep launched",
+          Type::kCounter, misses);
+    m.set("rap_cache_evictions_total",
+          "Artifact cache LRU evictions since the sweep launched",
+          Type::kCounter, delta(now.evictions, before.evictions));
     m.set("rap_cache_hit_rate",
           "Hits / lookups of the artifact cache since the sweep launched",
           Type::kGauge,

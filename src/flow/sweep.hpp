@@ -86,7 +86,7 @@ struct SweepResult {
 /// Scaling contract:
 ///
 /// - **Dedup before compile.** Configurations are content-keyed
-///   (verify::model_fingerprint); the sharded verify::ArtifactCache
+///   (verify::model_fingerprint); the verify::ArtifactCache
 ///   coalesces concurrent builds, so identical models reached through
 ///   different grid points (e.g. the same depth under two voltage
 ///   schedules) compile exactly once — artifact_builds() grows by the
@@ -202,7 +202,7 @@ public:
         /// Scrapeable engine metrics snapshot: sweep progress (configs
         /// done/total, queue depth, in-flight), aggregate states/s and
         /// peak resident bytes, and the process artifact cache's
-        /// per-shard hit/miss/eviction counters — render with
+        /// hit/miss/eviction counters — render with
         /// metrics::to_prometheus().
         Metrics metrics() const;
 

@@ -132,7 +132,17 @@ StoreCheckpoint StoreCheckpoint::load(const std::string& path) {
     c.por.expanded_transitions = words[16];
     const std::uint64_t records_off = words[17];
 
+    // No section can outgrow the payload; bounding each count first
+    // keeps the sums below from wrapping around 2^64.
     const std::uint64_t payload = words.size() - 1;  // minus checksum
+    for (const std::uint64_t n :
+         {frontier_n, goals_n, deadlocks_n, violations_n}) {
+        if (n > payload) reject(path, "has inconsistent section lengths");
+    }
+    if (c.record_stride() != 0 &&
+        c.record_count > payload / c.record_stride()) {
+        reject(path, "has inconsistent section lengths");
+    }
     const std::uint64_t expected_off = kHeaderWords + frontier_n +
                                        goals_n + deadlocks_n +
                                        violations_n * 2;

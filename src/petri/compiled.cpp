@@ -68,181 +68,6 @@ CompiledNet::CompiledNet(const Net& net)
       marking_words_(util::BitVec::words_for_bits(place_count_)),
       enabled_words_(util::BitVec::words_for_bits(transition_count_)),
       structure_digest_(digest_structure(net)) {
-    build_full(net);
-}
-
-CompiledNet::CompiledNet(const Net& net, const CompiledNet& parent)
-    : net_(&net),
-      place_count_(net.place_count()),
-      transition_count_(net.transition_count()),
-      marking_words_(util::BitVec::words_for_bits(place_count_)),
-      enabled_words_(util::BitVec::words_for_bits(transition_count_)),
-      structure_digest_(digest_structure(net)) {
-    if (place_count_ != parent.place_count_ ||
-        transition_count_ != parent.transition_count_) {
-        build_full(net);
-        return;
-    }
-    const Net& pnet = parent.net();
-
-    std::vector<bool> changed(transition_count_, false);
-    bool any_changed = false;
-    for (std::uint32_t ti = 0; ti < transition_count_; ++ti) {
-        const TransitionId t{ti};
-        if (net.preset(t) != pnet.preset(t) ||
-            net.postset(t) != pnet.postset(t) ||
-            net.readset(t) != pnet.readset(t)) {
-            changed[ti] = true;
-            any_changed = true;
-        }
-    }
-    if (!any_changed) {
-        // The set_depth fast path: same structure, different initial
-        // marking — every compiled array carries over verbatim.
-        require_off_ = parent.require_off_;
-        forbid_off_ = parent.forbid_off_;
-        effect_off_ = parent.effect_off_;
-        require_ = parent.require_;
-        forbid_ = parent.forbid_;
-        effect_ = parent.effect_;
-        affected_off_ = parent.affected_off_;
-        affected_ = parent.affected_;
-        return;
-    }
-
-    // Places whose dependent-transition set can differ from the
-    // parent's: everything touched by a changed transition's arcs, old
-    // or new shape.
-    std::vector<bool> changed_place(place_count_, false);
-    const auto mark_places = [&](const std::vector<PlaceId>& places) {
-        for (PlaceId p : places) changed_place[p.value] = true;
-    };
-    for (std::uint32_t ti = 0; ti < transition_count_; ++ti) {
-        if (!changed[ti]) continue;
-        const TransitionId t{ti};
-        mark_places(net.preset(t));
-        mark_places(net.postset(t));
-        mark_places(net.readset(t));
-        mark_places(pnet.preset(t));
-        mark_places(pnet.postset(t));
-        mark_places(pnet.readset(t));
-    }
-
-    // Splice the term CSR: unchanged transitions copy their parent rows
-    // wholesale, changed ones repack from the new arcs.
-    require_off_.reserve(transition_count_ + 1);
-    forbid_off_.reserve(transition_count_ + 1);
-    effect_off_.reserve(transition_count_ + 1);
-    std::vector<std::vector<std::uint32_t>> dependents(place_count_);
-    std::vector<PlaceId> require_places;
-    std::vector<PlaceId> forbid_places;
-    for (std::uint32_t ti = 0; ti < transition_count_; ++ti) {
-        const TransitionId t{ti};
-        require_off_.push_back(static_cast<std::uint32_t>(require_.size()));
-        forbid_off_.push_back(static_cast<std::uint32_t>(forbid_.size()));
-        effect_off_.push_back(static_cast<std::uint32_t>(effect_.size()));
-
-        const auto& pre = net.preset(t);
-        const auto& post = net.postset(t);
-        const auto& read = net.readset(t);
-        require_places.clear();
-        std::set_union(pre.begin(), pre.end(), read.begin(), read.end(),
-                       std::back_inserter(require_places));
-        forbid_places.clear();
-        std::set_difference(post.begin(), post.end(), pre.begin(),
-                            pre.end(), std::back_inserter(forbid_places));
-
-        if (!changed[ti]) {
-            require_.insert(
-                require_.end(),
-                parent.require_.begin() + parent.require_off_[ti],
-                parent.require_.begin() + parent.require_off_[ti + 1]);
-            forbid_.insert(
-                forbid_.end(),
-                parent.forbid_.begin() + parent.forbid_off_[ti],
-                parent.forbid_.begin() + parent.forbid_off_[ti + 1]);
-            effect_.insert(
-                effect_.end(),
-                parent.effect_.begin() + parent.effect_off_[ti],
-                parent.effect_.begin() + parent.effect_off_[ti + 1]);
-        } else {
-            pack_terms(require_places, require_, require_off_.back(),
-                       [](Term& term, std::uint64_t bit) {
-                           term.mask |= bit;
-                       });
-            pack_terms(forbid_places, forbid_, forbid_off_.back(),
-                       [](Term& term, std::uint64_t bit) {
-                           term.mask |= bit;
-                       });
-            pack_terms(pre, effect_, effect_off_.back(),
-                       [](Effect& e, std::uint64_t bit) {
-                           e.clear_mask |= bit;
-                       });
-            for (PlaceId p : post) {
-                const std::uint32_t word =
-                    static_cast<std::uint32_t>(p.value / kWordBits);
-                const std::uint64_t bit = std::uint64_t{1}
-                                          << (p.value % kWordBits);
-                auto it = std::find_if(
-                    effect_.begin() + effect_off_.back(), effect_.end(),
-                    [word](const Effect& e) { return e.word == word; });
-                if (it == effect_.end()) {
-                    effect_.push_back({word, 0, bit});
-                } else {
-                    it->set_mask |= bit;
-                }
-            }
-        }
-
-        for (PlaceId p : require_places) dependents[p.value].push_back(ti);
-        for (PlaceId p : forbid_places) dependents[p.value].push_back(ti);
-    }
-    require_off_.push_back(static_cast<std::uint32_t>(require_.size()));
-    forbid_off_.push_back(static_cast<std::uint32_t>(forbid_.size()));
-    effect_off_.push_back(static_cast<std::uint32_t>(effect_.size()));
-
-    // affected(t) only moves when t itself changed or one of the places
-    // it toggles gained/lost a dependent; other rows copy over.
-    affected_off_.reserve(transition_count_ + 1);
-    std::vector<PlaceId> toggled;
-    std::vector<std::uint32_t> scratch;
-    for (std::uint32_t ti = 0; ti < transition_count_; ++ti) {
-        const TransitionId t{ti};
-        const auto& pre = net.preset(t);
-        const auto& post = net.postset(t);
-        toggled.clear();
-        std::set_symmetric_difference(pre.begin(), pre.end(), post.begin(),
-                                      post.end(),
-                                      std::back_inserter(toggled));
-        affected_off_.push_back(static_cast<std::uint32_t>(affected_.size()));
-        bool stale = changed[ti];
-        for (PlaceId p : toggled) {
-            if (changed_place[p.value]) {
-                stale = true;
-                break;
-            }
-        }
-        if (!stale) {
-            affected_.insert(
-                affected_.end(),
-                parent.affected_.begin() + parent.affected_off_[ti],
-                parent.affected_.begin() + parent.affected_off_[ti + 1]);
-            continue;
-        }
-        scratch.clear();
-        for (PlaceId p : toggled) {
-            scratch.insert(scratch.end(), dependents[p.value].begin(),
-                           dependents[p.value].end());
-        }
-        std::sort(scratch.begin(), scratch.end());
-        scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                      scratch.end());
-        affected_.insert(affected_.end(), scratch.begin(), scratch.end());
-    }
-    affected_off_.push_back(static_cast<std::uint32_t>(affected_.size()));
-}
-
-void CompiledNet::build_full(const Net& net) {
     require_off_.reserve(transition_count_ + 1);
     forbid_off_.reserve(transition_count_ + 1);
     effect_off_.reserve(transition_count_ + 1);

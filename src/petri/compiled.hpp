@@ -50,24 +50,12 @@ class CompiledNet {
 public:
     explicit CompiledNet(const Net& net);
 
-    /// Delta compilation: compile `net` by patching `parent`'s arrays
-    /// instead of packing from scratch. Transitions whose pre/post/read
-    /// arcs match the parent's keep their CSR term rows verbatim (for a
-    /// reconfiguration that only flips initial markings — the flow::Design
-    /// set_depth case — that is *every* row, one bulk copy); changed
-    /// transitions are repacked, and the affected-transition index is
-    /// recomputed only where a changed arc can reach it. Falls back to a
-    /// full build when the place/transition counts differ. The result is
-    /// bit-identical to CompiledNet(net). `parent` (and its net) only
-    /// needs to stay alive for the duration of this constructor.
-    CompiledNet(const Net& net, const CompiledNet& parent);
-
     const Net& net() const noexcept { return *net_; }
 
     /// FNV-1a digest of the net's structure — place/transition counts and
     /// every arc, but NOT initial markings. Two nets that differ only in
     /// initial marking (a run-time reconfiguration) share it; it keys
-    /// marking-store reuse and parent lookup for delta compilation.
+    /// marking-store reuse and ties a checkpoint to its net.
     std::uint64_t structure_digest() const noexcept {
         return structure_digest_;
     }
@@ -117,8 +105,6 @@ private:
         std::uint64_t clear_mask;  // consume-arc places in this word
         std::uint64_t set_mask;    // produce-arc places in this word
     };
-
-    void build_full(const Net& net);
 
     const Net* net_;
     std::size_t place_count_;

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "petri/checkpoint.hpp"
@@ -919,6 +920,36 @@ private:
             throw std::runtime_error(
                 "resume: checkpoint goal count does not match the query");
         }
+        // A checksummed file can still carry ids its writer never
+        // produced: every state id must name one of the checkpoint's own
+        // records and every transition id one of this net's transitions.
+        const auto check_state = [&](std::uint32_t id, const char* what) {
+            if (id >= ckpt.record_count) {
+                throw std::runtime_error(
+                    std::string("resume: checkpoint ") + what +
+                    " references an id beyond its own records");
+            }
+        };
+        for (const std::uint32_t id : ckpt.frontier) {
+            check_state(id, "frontier");
+        }
+        for (const std::uint32_t id : ckpt.goal_hits) {
+            if (id != ConcurrentMarkingStore::kNone) {
+                check_state(id, "goal hit");
+            }
+        }
+        for (const std::uint32_t id : ckpt.deadlocks) {
+            check_state(id, "deadlock");
+        }
+        for (const StoreCheckpoint::Violation& v : ckpt.violations) {
+            check_state(v.state, "violation");
+            if (v.fired >= compiled_.transition_count() ||
+                v.disabled >= compiled_.transition_count()) {
+                throw std::runtime_error(
+                    "resume: checkpoint violation names a transition this "
+                    "net does not have");
+            }
+        }
         const Marking m0 = net_.initial_marking();
         copy_words(ctx_[0].child.data(), m0.word_data(), m0.word_count());
         if (std::memcmp(ckpt.record(0), ctx_[0].child.data(),
@@ -965,11 +996,6 @@ private:
         std::size_t out_edges = 0;
         frontier_rows_.reserve(frontier_.size());
         for (const std::uint32_t id : frontier_) {
-            if (id >= ckpt.record_count) {
-                throw std::runtime_error(
-                    "resume: checkpoint frontier references an id beyond "
-                    "its own records");
-            }
             util::WordArena& arena = ctx_[0].earena[1 - write_parity_];
             std::uint64_t* row = arena[arena.push_zero()];
             compiled_.enabled_set(store_[id], row);

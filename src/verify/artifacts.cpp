@@ -10,31 +10,8 @@ namespace rap::verify {
 namespace {
 
 std::atomic<std::size_t> g_builds{0};
-std::atomic<std::size_t> g_delta_builds{0};
 
 }  // namespace
-
-std::string model_structure_fingerprint(const dfs::Graph& graph) {
-    // model_fingerprint minus the initial-marking fields: what remains is
-    // exactly what the Fig. 3 translation turns into places, transitions
-    // and arcs, so equal keys mean identical net *structure*.
-    std::string key =
-        util::format("%zu:", graph.name().size()) + graph.name();
-    key += '\x1f';
-    for (const dfs::NodeId n : graph.nodes()) {
-        const std::string& name = graph.node_name(n);
-        key += util::format("%zu:", name.size()) + name;
-        key += util::format(":%d;", static_cast<int>(graph.kind(n)));
-    }
-    key += '\x1f';
-    for (const dfs::NodeId n : graph.nodes()) {
-        for (const dfs::NodeId m : graph.postset(n)) {
-            key += util::format("%u>%u:%d;", n.value, m.value,
-                                graph.is_inverted(n, m) ? 1 : 0);
-        }
-    }
-    return key;
-}
 
 std::string model_fingerprint(const dfs::Graph& graph) {
     std::string key =
@@ -68,26 +45,12 @@ CompiledModel::CompiledModel(const dfs::Graph& graph)
     g_builds.fetch_add(1, std::memory_order_relaxed);
 }
 
-CompiledModel::CompiledModel(const dfs::Graph& graph,
-                             const CompiledModel& parent)
-    : translation_(dfs::to_petri(graph)),
-      compiled_(translation_.net, parent.compiled_) {
-    approx_bytes_ = 4096 + translation_.net.place_count() * 96 +
-                    translation_.net.transition_count() * 256;
-    g_builds.fetch_add(1, std::memory_order_relaxed);
-    g_delta_builds.fetch_add(1, std::memory_order_relaxed);
-}
-
 std::shared_ptr<const CompiledModel> compile_model(const dfs::Graph& graph) {
     return ArtifactCache::process_cache().get(graph);
 }
 
 std::size_t artifact_builds() noexcept {
     return g_builds.load(std::memory_order_relaxed);
-}
-
-std::size_t artifact_delta_builds() noexcept {
-    return g_delta_builds.load(std::memory_order_relaxed);
 }
 
 }  // namespace rap::verify

@@ -23,17 +23,6 @@ class CompiledModel {
 public:
     explicit CompiledModel(const dfs::Graph& graph);
 
-    /// Delta compilation: builds the artifact for `graph` by splicing the
-    /// unchanged CSR rows and index entries out of `parent`'s CompiledNet
-    /// instead of repacking the whole net — the run-time reconfiguration
-    /// fast path, where the structure is identical and only initial
-    /// markings moved (set_depth) so *every* row is shared wholesale.
-    /// `parent` must have the same structural fingerprint
-    /// (model_structure_fingerprint); the result is field-for-field
-    /// identical to a full build. The parent is only read during
-    /// construction and need not outlive the new model.
-    CompiledModel(const dfs::Graph& graph, const CompiledModel& parent);
-
     CompiledModel(const CompiledModel&) = delete;
     CompiledModel& operator=(const CompiledModel&) = delete;
 
@@ -61,19 +50,11 @@ private:
 /// separator characters cannot forge another model's key).
 std::string model_fingerprint(const dfs::Graph& graph);
 
-/// Structural fingerprint of a DFS model: model_fingerprint minus the
-/// per-node initial-marking fields. Two graphs with equal structural
-/// fingerprints translate to nets that differ at most in their initial
-/// markings — exactly the condition under which CompiledModel's delta
-/// constructor (and petri::ReuseStore row retention) apply. The
-/// ArtifactCache keys its parent index by this.
-std::string model_structure_fingerprint(const dfs::Graph& graph);
-
 /// Returns the compiled artifact for `graph`, reusing a cached one when
 /// an identical model (same nodes, edges, inversions and initial
 /// markings) was compiled before. Thread-safe: rides the process-wide
-/// verify::ArtifactCache (sharded LRU with build coalescing — concurrent
-/// callers racing on the same content share ONE build). See
+/// verify::ArtifactCache (byte-capacity LRU with build coalescing —
+/// concurrent callers racing on the same content share ONE build). See
 /// verify/cache.hpp for pinning and introspection.
 std::shared_ptr<const CompiledModel> compile_model(const dfs::Graph& graph);
 
@@ -82,11 +63,5 @@ std::shared_ptr<const CompiledModel> compile_model(const dfs::Graph& graph);
 /// constructions (and flow::Design re-verifications, and whole
 /// flow::Sweep grids) share one compile per distinct model content.
 std::size_t artifact_builds() noexcept;
-
-/// The subset of artifact_builds() that went through the delta
-/// constructor (a structurally identical parent was resident) — lets
-/// tests and benches assert that reconfiguration sweeps splice compiled
-/// rows instead of repacking them.
-std::size_t artifact_delta_builds() noexcept;
 
 }  // namespace rap::verify

@@ -7,36 +7,24 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "verify/artifacts.hpp"
 
 namespace rap::verify {
 
-/// Counters of one cache shard, snapshotted by ArtifactCache::stats().
-struct CacheShardStats {
-    std::size_t hits = 0;       ///< lookups served from the shard
+/// Cache snapshot, taken by ArtifactCache::stats(). Every lookup is
+/// exactly one hit or one miss (waiting on another caller's in-flight
+/// build counts as a hit — the waiter does not build), so
+/// `hits + misses` reconciles with the total lookup count and `misses`
+/// with the number of artifact builds the cache ran.
+struct CacheStats {
+    std::size_t hits = 0;       ///< lookups served from the cache
     std::size_t misses = 0;     ///< lookups that triggered a build
     std::size_t evictions = 0;  ///< entries dropped by the LRU policy
     std::size_t entries = 0;    ///< cached models right now
     std::size_t bytes = 0;      ///< estimated resident bytes right now
     std::size_t pinned = 0;     ///< entries currently pinned
-};
-
-/// Aggregate cache snapshot: the per-shard counters plus their sums.
-/// Every lookup is exactly one hit or one miss (waiting on another
-/// caller's in-flight build counts as a hit — the waiter does not
-/// build), so `hits + misses` reconciles with the total lookup count
-/// and `misses` with the number of artifact builds the cache ran.
-struct CacheStats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t evictions = 0;
-    std::size_t entries = 0;
-    std::size_t bytes = 0;
-    std::size_t pinned = 0;
     std::size_t capacity_bytes = 0;
-    std::vector<CacheShardStats> shards;
 
     double hit_rate() const noexcept {
         const std::size_t lookups = hits + misses;
@@ -46,38 +34,35 @@ struct CacheStats {
     }
 };
 
-/// Concurrent sharded LRU cache of CompiledModel artifacts, keyed by
-/// exact model content (verify::model_fingerprint). The multi-tenant
-/// replacement for the PR-3 process-wide-mutex map:
+/// Concurrent LRU cache of CompiledModel artifacts, keyed by exact
+/// model content (verify::model_fingerprint), under one mutex. Lookups
+/// come at a few hundred per second at most (one per sweep point or
+/// design session) and builds run outside the lock, so the lock is
+/// never the bottleneck.
 ///
-/// - **Mutex-striped shards.** The fingerprint hash picks one of N
-///   shards; each shard has its own mutex, LRU list and counters, so
-///   concurrent sweeps over different models do not serialise.
 /// - **Byte-capacity LRU.** Capacity is bytes (CompiledModel::
-///   approx_bytes), split evenly across shards; least-recently-used
-///   unpinned entries are evicted when a shard overflows.
+///   approx_bytes) over the whole cache; least-recently-used unpinned
+///   entries are evicted when it overflows.
 /// - **Build coalescing.** The first caller to miss a key builds the
-///   model *outside* the shard lock; concurrent callers for the same
-///   key block until that build lands instead of compiling again —
+///   model *outside* the lock; concurrent callers for the same key
+///   block until that build lands instead of compiling again —
 ///   dedup-before-compile for free, even when a batch driver's workers
 ///   race on identical configurations.
 /// - **Pinned entries.** An in-flight build is pinned automatically,
 ///   and get_pinned() returns a RAII Pin that keeps the entry resident
 ///   until released — a sweep cannot evict what a worker is about to
-///   use. Pinned entries may push a shard past capacity; the overshoot
-///   is reclaimed on the next unpinned insertion.
+///   use. Pinned entries may push the cache past capacity; the
+///   overshoot is reclaimed on the next unpinned insertion or unpin.
 class ArtifactCache {
 public:
     struct Options {
-        std::size_t shard_count = 8;
         std::size_t capacity_bytes = 64 * 1024 * 1024;
     };
 
     ArtifactCache() : ArtifactCache(Options{}) {}
-    explicit ArtifactCache(Options options);
+    explicit ArtifactCache(Options options) : options_(options) {}
     ArtifactCache(const ArtifactCache&) = delete;
     ArtifactCache& operator=(const ArtifactCache&) = delete;
-    ~ArtifactCache();
 
     /// RAII eviction pin. While alive, the entry stays cached (the
     /// model itself is additionally kept alive by the shared_ptr, pin
@@ -99,15 +84,11 @@ public:
 
     private:
         friend class ArtifactCache;
-        Pin(ArtifactCache* cache, std::size_t shard, std::string key,
+        Pin(ArtifactCache* cache, std::string key,
             std::shared_ptr<const CompiledModel> model)
-            : cache_(cache),
-              shard_(shard),
-              key_(std::move(key)),
-              model_(std::move(model)) {}
+            : cache_(cache), key_(std::move(key)), model_(std::move(model)) {}
 
         ArtifactCache* cache_ = nullptr;
-        std::size_t shard_ = 0;
         std::string key_;
         std::shared_ptr<const CompiledModel> model_;
     };
@@ -125,7 +106,6 @@ public:
     /// the dropped entries do not count as evictions).
     void clear();
 
-    std::size_t shard_count() const noexcept { return shards_.size(); }
     std::size_t capacity_bytes() const noexcept {
         return options_.capacity_bytes;
     }
@@ -143,43 +123,26 @@ private:
         bool building = false;
     };
 
-    struct Shard {
-        mutable std::mutex mutex;
-        std::condition_variable ready;
-        /// Most-recently-used first; Entry addresses are stable.
-        std::list<Entry> lru;
-        std::unordered_map<std::string, std::list<Entry>::iterator> index;
-        std::size_t bytes = 0;
-        std::size_t hits = 0;
-        std::size_t misses = 0;
-        std::size_t evictions = 0;
-    };
-
     std::shared_ptr<const CompiledModel> lookup(const dfs::Graph& graph,
-                                                bool pin, std::string* key_out,
-                                                std::size_t* shard_out);
-    /// Compiles `graph` — as a delta off a live structurally identical
-    /// parent when the structural index has one, from scratch otherwise —
-    /// and registers the result as the structure's latest parent. Called
-    /// outside any shard lock (builds are the slow path).
-    std::shared_ptr<const CompiledModel> build_model(const dfs::Graph& graph);
-    void unpin(std::size_t shard_index, const std::string& key);
-    void evict_overflow(Shard& shard);  ///< caller holds shard.mutex
+                                                bool pin,
+                                                std::string* key_out);
+    void unpin(const std::string& key);
+    void evict_overflow();  ///< caller holds mutex_
 
     Options options_;
-    std::size_t per_shard_capacity_;
-    std::vector<std::unique_ptr<Shard>> shards_;
-    /// Structural-fingerprint -> most recent artifact of that structure,
-    /// held weakly: delta compilation wants *a* live parent but must not
-    /// keep evicted models alive. Global (not sharded) — only touched on
-    /// the build slow path.
-    std::mutex structural_mu_;
-    std::unordered_map<std::string, std::weak_ptr<const CompiledModel>>
-        structural_;
+    mutable std::mutex mutex_;
+    std::condition_variable ready_;
+    /// Most-recently-used first; Entry addresses are stable.
+    std::list<Entry> lru_;
+    std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+    std::size_t bytes_ = 0;
+    std::size_t hits_ = 0;
+    std::size_t misses_ = 0;
+    std::size_t evictions_ = 0;
 };
 
 /// Snapshot of the process-wide artifact cache (the instance behind
-/// verify::compile_model and flow::Design) — per-shard hit/miss/eviction
+/// verify::compile_model and flow::Design) — hit/miss/eviction
 /// counters, resident bytes and pin counts.
 CacheStats cache_stats();
 

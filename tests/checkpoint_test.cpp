@@ -284,6 +284,100 @@ TEST(Checkpoint, OldVersionRefused) {
     }
 }
 
+/// Writes a valid checkpoint of the 8-state ring, hands it to `tamper`,
+/// saves it again (a fresh, valid checksum) and expects the resume to be
+/// refused with std::runtime_error instead of dereferencing a bad id.
+template <typename Tamper>
+void expect_tampered_resume_refused(const std::string& name, Tamper tamper) {
+    const Fixture fixture = ring_fixture(6);
+    const CompiledNet compiled(fixture.net);
+    const QueryBundle bundle(fixture.net);
+    const std::string path = temp_path(name + ".ckpt");
+    std::remove(path.c_str());
+    killed_run(compiled, bundle.query, path, 1, 1'000'000, 1);
+    StoreCheckpoint ckpt = StoreCheckpoint::load(path);
+    tamper(ckpt);
+    ckpt.save(path);
+
+    ReachabilityOptions options;
+    options.stop_at_first_match = false;
+    options.resume = std::make_shared<const StoreCheckpoint>(
+        StoreCheckpoint::load(path));
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        options.threads = threads;
+        ParallelReachabilityExplorer explorer(compiled, options);
+        EXPECT_THROW(explorer.run_query(bundle.query), std::runtime_error)
+            << threads;
+    }
+}
+
+TEST(Checkpoint, GoalHitBeyondRecordsRefusedOnResume) {
+    expect_tampered_resume_refused("ckpt_bad_goal", [](StoreCheckpoint& c) {
+        ASSERT_FALSE(c.goal_hits.empty());
+        c.goal_hits[0] = static_cast<std::uint32_t>(c.record_count);
+    });
+}
+
+TEST(Checkpoint, DeadlockBeyondRecordsRefusedOnResume) {
+    expect_tampered_resume_refused("ckpt_bad_deadlock",
+                                   [](StoreCheckpoint& c) {
+                                       c.deadlocks = {50'000'000};
+                                   });
+}
+
+TEST(Checkpoint, ViolationStateBeyondRecordsRefusedOnResume) {
+    expect_tampered_resume_refused("ckpt_bad_violation_state",
+                                   [](StoreCheckpoint& c) {
+                                       c.violations = {{50'000'000, 1, 0, 0}};
+                                   });
+}
+
+TEST(Checkpoint, ViolationTransitionBeyondNetRefusedOnResume) {
+    expect_tampered_resume_refused("ckpt_bad_violation_fired",
+                                   [](StoreCheckpoint& c) {
+                                       c.violations = {{0, 0, 50'000'000, 0}};
+                                   });
+    expect_tampered_resume_refused("ckpt_bad_violation_disabled",
+                                   [](StoreCheckpoint& c) {
+                                       c.violations = {{0, 0, 0, 50'000'000}};
+                                   });
+}
+
+TEST(Checkpoint, WrappingSectionCountsRejectedByLoad) {
+    // Two section counts that sum to 2^64 make the section lengths add
+    // up to an empty file; a loader that sums before bounding each count
+    // then reads a million frontier ids past the buffer.
+    const Fixture fixture = ring_fixture(6);
+    const CompiledNet compiled(fixture.net);
+    const QueryBundle bundle(fixture.net);
+    const std::string path = temp_path("ckpt_wrap_source.ckpt");
+    std::remove(path.c_str());
+    killed_run(compiled, bundle.query, path, 1, 1'000'000, 1);
+    std::uint64_t magic_version[2] = {0, 0};
+    {
+        std::ifstream in(path, std::ios::binary);
+        ASSERT_TRUE(in.good());
+        in.read(reinterpret_cast<char*>(magic_version),
+                sizeof(magic_version));
+    }
+
+    std::vector<std::uint64_t> words(19, 0);  // 18 header words + checksum
+    words[0] = magic_version[0];
+    words[1] = magic_version[1];
+    words[7] = 1'000'000;                    // frontier count
+    words[8] = std::uint64_t{0} - words[7];  // goal count
+    words[17] = 18;                          // records offset
+    words.back() = hash_marking_words(words.data(), words.size() - 1);
+    const std::string crafted = temp_path("ckpt_wrap.ckpt");
+    {
+        std::ofstream out(crafted, std::ios::binary);
+        out.write(reinterpret_cast<const char*>(words.data()),
+                  static_cast<std::streamsize>(words.size() *
+                                               sizeof(std::uint64_t)));
+    }
+    EXPECT_THROW(StoreCheckpoint::load(crafted), std::runtime_error);
+}
+
 TEST(Checkpoint, DesignCadenceWritesAtEveryThreadCount) {
     // One Design::set_checkpoint cadence counts expanded states at every
     // thread count: 4096 on the ~191k-state 3-stage OPE writes resume

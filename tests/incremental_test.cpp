@@ -1,8 +1,7 @@
 // Differential harness for incremental re-verification: a cross-pass
 // petri::ReuseStore must be invisible in every answer — scratch and
 // reused passes agree bit-for-bit at 1/2/4/8 threads over a depth sweep
-// — while the delta-compiled nets, the artifact cache's parent+delta
-// path, the flow::Design store lifecycle (reconfiguration keeps it,
+// — while the flow::Design store lifecycle (reconfiguration keeps it,
 // edit() drops it) and flow::Sweep's shared-store mode ride on top.
 
 #include <gtest/gtest.h>
@@ -289,77 +288,6 @@ TEST(Incremental, DimensionMismatchFallsBackToScratch) {
     // The mismatched pass never touched the store.
     EXPECT_EQ(reuse->interned_markings(), interned);
     EXPECT_EQ(reuse->marking_words(), mwords);
-}
-
-// ---------------------------------------------------- delta compilation --
-
-TEST(Incremental, DeltaCompiledNetMatchesFullBuild) {
-    const Net parent_net = depth_net(3, 3);
-    const Net child_net = depth_net(3, 2);
-    ASSERT_EQ(CompiledNet::digest_structure(parent_net),
-              CompiledNet::digest_structure(child_net))
-        << "reconfiguration must be a marking-only change";
-
-    const CompiledNet parent(parent_net);
-    const CompiledNet full(child_net);
-    const CompiledNet delta(child_net, parent);
-    EXPECT_EQ(delta.marking_words(), full.marking_words());
-    EXPECT_EQ(delta.enabled_words(), full.enabled_words());
-
-    const QueryBundle bundle(child_net);
-    ReachabilityOptions options;
-    options.stop_at_first_match = false;
-    options.threads = 1;
-    const auto reference =
-        ParallelReachabilityExplorer(full, options).run_query(bundle.query);
-    const auto result =
-        ParallelReachabilityExplorer(delta, options).run_query(bundle.query);
-    expect_identical(child_net, reference, result, "delta vs full, seq");
-
-    options.threads = 4;
-    const auto par_result =
-        ParallelReachabilityExplorer(delta, options).run_query(bundle.query);
-    expect_identical(child_net, reference, par_result, "delta vs full, par");
-
-    // A parent of a different structure falls back to a full rebuild.
-    const Net other = depth_net(2, 2);
-    const CompiledNet unrelated(other);
-    const CompiledNet fallback(child_net, unrelated);
-    options.threads = 0;
-    const auto fb_result =
-        ParallelReachabilityExplorer(fallback, options).run_query(bundle.query);
-    expect_identical(child_net, reference, fb_result,
-                     "unrelated parent falls back to full build");
-}
-
-TEST(Incremental, ArtifactCacheServesReconfigurationsAsDeltas) {
-    // Two compiles of the same structure under different initial
-    // markings: the second is a cache miss (the fingerprint covers the
-    // marking) but must be built as parent+delta via the structural
-    // index, and answer exactly like a from-scratch compile.
-    auto p3 = pipeline::build_pipeline(
-        "inc_cache", dfs::testing::ope_style_stages(3, 3));
-    auto p2 = pipeline::build_pipeline(
-        "inc_cache", dfs::testing::ope_style_stages(3, 2));
-
-    const std::size_t deltas_before = verify::artifact_delta_builds();
-    const auto parent = verify::compile_model(p3.graph);
-    ASSERT_NE(parent, nullptr);
-    const auto child = verify::compile_model(p2.graph);
-    ASSERT_NE(child, nullptr);
-    EXPECT_EQ(verify::artifact_delta_builds() - deltas_before, 1u)
-        << "the reconfigured compile must take the delta path";
-
-    const Net fresh_net = dfs::to_petri(p2.graph).net;
-    const CompiledNet fresh(fresh_net);
-    const QueryBundle bundle(fresh_net);
-    ReachabilityOptions options;
-    options.stop_at_first_match = false;
-    const auto reference =
-        ParallelReachabilityExplorer(fresh, options).run_query(bundle.query);
-    const auto result = ParallelReachabilityExplorer(child->compiled(), options)
-                            .run_query(bundle.query);
-    expect_identical(fresh_net, reference, result, "cache delta model");
 }
 
 // -------------------------------------------------- flow::Design surface --

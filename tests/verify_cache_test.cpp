@@ -1,4 +1,4 @@
-// Tests for the concurrent sharded LRU artifact cache: counter
+// Tests for the concurrent LRU artifact cache: counter
 // reconciliation under a multi-threaded hammer, build coalescing (no
 // double-build when callers race on one key), byte-capacity LRU
 // eviction, and pin semantics. Each TEST() runs as its own ctest
@@ -41,7 +41,7 @@ TEST(ArtifactCache, ConcurrentHammerCountersReconcile) {
     constexpr int kRounds = 25;
     constexpr int kModels = 6;
 
-    ArtifactCache cache;  // default: 8 shards, plenty of capacity
+    ArtifactCache cache;  // default: plenty of capacity
     const std::size_t builds_before = artifact_builds();
 
     std::atomic<bool> go{false};
@@ -121,7 +121,6 @@ TEST(ArtifactCache, EvictsLeastRecentlyUsedUnderCapacity) {
     ASSERT_GT(model_bytes, 0u);
 
     ArtifactCache::Options options;
-    options.shard_count = 1;  // one shard: deterministic LRU order
     options.capacity_bytes = 2 * model_bytes + model_bytes / 2;
     ArtifactCache cache(options);
 
@@ -134,7 +133,7 @@ TEST(ArtifactCache, EvictsLeastRecentlyUsedUnderCapacity) {
     EXPECT_EQ(cache.stats().entries, 2u);
     EXPECT_EQ(cache.stats().evictions, 0u);
 
-    // Third insert overflows the shard: the least recently used (g0)
+    // Third insert overflows the cache: the least recently used (g0)
     // goes, the newcomer and g1 stay resident.
     cache.get(g2);
     EXPECT_EQ(cache.stats().entries, 2u);
@@ -149,6 +148,26 @@ TEST(ArtifactCache, EvictsLeastRecentlyUsedUnderCapacity) {
     EXPECT_EQ(cache.stats().misses, misses_before + 1);
 }
 
+TEST(ArtifactCache, CapacityIsTheWholeCache) {
+    // The byte capacity bounds the whole cache, not a slice of it: room
+    // for three models keeps one model resident across repeated gets.
+    const Graph g = make_model(0);
+    const std::size_t model_bytes = CompiledModel(g).approx_bytes();
+    ASSERT_GT(model_bytes, 0u);
+
+    ArtifactCache::Options options;
+    options.capacity_bytes = 3 * model_bytes;
+    ArtifactCache cache(options);
+
+    cache.get(g);
+    cache.get(g);
+    const CacheStats stats = cache.stats();
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.evictions, 0u);
+    EXPECT_EQ(stats.entries, 1u);
+}
+
 TEST(ArtifactCache, PinnedEntrySurvivesEvictionPressure) {
     std::size_t model_bytes = 0;
     {
@@ -158,7 +177,6 @@ TEST(ArtifactCache, PinnedEntrySurvivesEvictionPressure) {
     }
 
     ArtifactCache::Options options;
-    options.shard_count = 1;
     options.capacity_bytes = model_bytes;  // room for exactly one model
     ArtifactCache cache(options);
 
@@ -169,7 +187,7 @@ TEST(ArtifactCache, PinnedEntrySurvivesEvictionPressure) {
     ASSERT_TRUE(pin);
     EXPECT_EQ(cache.stats().pinned, 1u);
 
-    // g1 overflows the shard, but the pinned g0 cannot be dropped — the
+    // g1 overflows the cache, but the pinned g0 cannot be dropped — the
     // unpinned newcomer is reclaimed instead.
     cache.get(g1);
     {
